@@ -14,23 +14,27 @@ import numpy as np
 
 from .autodiff import Matrix
 from .data import to_dense_batch
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .model import ModelParams, score_items
 
 METRIC_NAMES = ("ndcg", "recall")
 
 
 def ranked_candidates(scores, mask):
-    """All unmasked item indices, best score first, index tie-break."""
+    """All unmasked item indices, best score first, index tie-break.
+
+    Only unmasked indices are ranked, so a masked item never appears
+    whatever the scores are; NaN scores rank last.
+    """
     s = np.asarray(scores, dtype=np.float64).ravel()
-    mask = np.asarray(sorted(mask), dtype=np.int64)
+    mask = np.fromiter(mask, dtype=np.int64)
+    keep = np.ones(s.size, dtype=bool)
     if mask.size:
         if mask.min() < 0 or mask.max() >= s.size:
             raise ConfigError("mask index out of range")
-        s = s.copy()
-        s[mask] = -np.inf
-    order = np.lexsort((np.arange(s.size), -s))
-    return order[: s.size - mask.size]
+        keep[mask] = False
+    candidates = np.flatnonzero(keep)
+    return candidates[np.lexsort((candidates, -s[candidates]))]
 
 
 def _check_inputs(scores, heldout, mask, k):
@@ -182,19 +186,21 @@ def evaluate(users, scorer, ks, n_items=None, batch_size=1024,
         scores = np.asarray(score_batch(dense), dtype=np.float64)
         if scores.shape != dense.shape:
             raise ConfigError(f"scorer returned {scores.shape}, expected {dense.shape}")
+        # min and max propagate NaN, so both are finite only when every
+        # score is, and neither allocates a batch-sized mask.
+        if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
+            raise NumericalError("scorer returned non-finite scores")
         for row, (u, fi, ho) in enumerate(chunk):
             mask = fi.item_indices
             if np.intersect1d(mask, ho.item_indices).size:
                 raise DataError(f"user {u}: fold-in and heldout overlap")
             order = ranked_candidates(scores[row], mask)[:max_k]
-            assert not np.isin(order, mask).any()
             hits = np.isin(order, ho.item_indices).astype(np.float64)
             gains = hits / np.log2(np.arange(2.0, hits.size + 2.0))
             n_h = ho.item_indices.size
             for k in ks:
                 ndcg = float(gains[:k].sum()) / _dcg(np.ones(min(k, n_h)))
                 recall = float(hits[:k].sum()) / min(k, n_h)
-                assert 0.0 <= ndcg <= 1.0 and 0.0 <= recall <= 1.0
                 values[("ndcg", k)].append(ndcg)
                 values[("recall", k)].append(recall)
                 if keep_per_user:

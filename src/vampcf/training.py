@@ -160,7 +160,6 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
             aborted = None
             for rows in _batches(order, cfg.batch_size):
                 beta = beta_at(step, cfg)
-                assert 0.0 <= beta <= cfg.beta_cap <= 1.0
                 x = Matrix(dense[rows])
                 params.zero_grad()
                 try:

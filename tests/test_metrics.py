@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vampcf.data import InteractionVector
-from vampcf.errors import ConfigError, DataError
+from vampcf.errors import ConfigError, DataError, NumericalError
 from vampcf.metrics import (MetricReport, evaluate, ndcg_at_k,
                             popularity_baseline, ranked_candidates, recall_at_k)
 
@@ -80,6 +80,17 @@ class TestRankingRules:
             order = ranked_candidates(scores, mask)
             assert len(order) == m - len(mask)
             assert not (set(order.tolist()) & mask)
+
+    def test_nan_scores_never_surface_masked_items(self):
+        order = ranked_candidates([0.5, np.nan, 0.2, np.nan, 0.9], [0, 2])
+        assert list(order) == [4, 1, 3]
+
+    def test_minus_inf_ties_never_surface_masked_items(self):
+        order = ranked_candidates([-np.inf, 0.3, -np.inf, 0.1], [1])
+        assert list(order) == [3, 0, 2]
+
+    def test_duplicate_mask_entries_drop_one_item(self):
+        assert list(ranked_candidates([0.1, 0.2, 0.3], [0, 0])) == [2, 1]
 
     def test_all_items_masked_gives_empty_ranking(self):
         assert ranked_candidates([1.0, 2.0], {0, 1}).size == 0
@@ -228,6 +239,13 @@ class TestEvaluate:
         users = [(iv(0, [1, 2]), iv(0, []))]
         with pytest.raises(DataError):
             evaluate(users, np.zeros(5), ks=[2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        users = [(iv(0, [1, 2]), iv(0, [3]))]
+        vec = np.array([0.1, 0.2, bad, 0.4, 0.5])
+        with pytest.raises(NumericalError):
+            evaluate(users, vec, ks=[2])
 
     def test_determinism(self):
         rng = np.random.default_rng(15)
