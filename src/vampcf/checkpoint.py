@@ -7,11 +7,14 @@ deterministic so identical training runs produce identical bytes.
 """
 import json
 import os
+import sys
 
 import numpy as np
 
 from .errors import DataError
-from .model import ModelConfig, ModelParams, init_params
+# init_params is not used here; perfbench wraps ``checkpoint.init_params`` by
+# attribute to count parameter initialisations, so the name must stay.
+from .model import ModelConfig, empty_params, init_params  # noqa: F401
 
 FORMAT_NAME = "vampcf-checkpoint-v1"
 
@@ -36,7 +39,12 @@ def save_checkpoint(path, params, extra=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ModelParams, extra dict)."""
+    """Read a checkpoint; returns (ModelParams, extra dict).
+
+    Each tensor is read straight into its final array: the structure comes
+    from the header's config with uninitialised storage, checked against
+    the header's manifest, and every value is then read from the file.
+    """
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -51,24 +59,25 @@ def load_checkpoint(path):
             raise DataError(f"{path}: invalid checkpoint header: {e}") from e
         if header.get("format") != FORMAT_NAME:
             raise DataError(f"{path}: unknown checkpoint format {header.get('format')!r}")
-        config = ModelConfig(**header["config"])
-        params = init_params(config, np.random.default_rng(0))
+        try:
+            config = ModelConfig(**header["config"])
+            manifest = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+        except (KeyError, TypeError) as e:
+            raise DataError(f"{path}: malformed checkpoint header: {e!r}") from e
+        params = empty_params(config)
         named = params.named_parameters()
-        declared = [t["name"] for t in header["tensors"]]
-        if declared != list(named):
+        if [name for name, _ in manifest] != list(named):
             raise DataError(f"{path}: tensor manifest does not match the "
                             f"declared model configuration")
-        for t in header["tensors"]:
-            shape = tuple(t["shape"])
-            target = named[t["name"]]
+        for name, shape in manifest:
+            target = named[name].data
             if target.shape != shape:
-                raise DataError(f"{path}: tensor {t['name']} has shape {shape}, "
+                raise DataError(f"{path}: tensor {name} has shape {shape}, "
                                 f"expected {target.shape}")
-            n_bytes = int(np.prod(shape)) * 8
-            buf = f.read(n_bytes)
-            if len(buf) != n_bytes:
-                raise DataError(f"{path}: truncated tensor {t['name']}")
-            target.data[:] = np.frombuffer(buf, dtype="<f8").reshape(shape)
+            if f.readinto(memoryview(target).cast("B")) != target.nbytes:
+                raise DataError(f"{path}: truncated tensor {name}")
+            if sys.byteorder != "little":
+                target.byteswap(inplace=True)
         if f.read(1):
             raise DataError(f"{path}: trailing bytes after declared tensors")
     return params, header.get("extra", {})

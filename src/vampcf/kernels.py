@@ -72,11 +72,21 @@ def l2_normalize_rows_bwd(y, inv, g):
 
 
 def adam_update(p, g, m, v, t, lr, beta1, beta2, eps):
-    """One bias-corrected adaptive-moment step, updating p/m/v in place."""
+    """One bias-corrected adaptive-moment step, updating p/m/v in place.
+
+    Works through one scratch array the shape of ``g``; ``g`` is only read.
+    """
+    tmp = np.multiply(g, 1.0 - beta1)
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - beta2
     v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    p -= lr * mhat / (np.sqrt(vhat) + eps)
+    v += tmp
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps), with c = 1 - beta ** t
+    np.divide(v, 1.0 - beta2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    np.divide(m, tmp, out=tmp)
+    tmp *= lr / (1.0 - beta1 ** t)
+    p -= tmp

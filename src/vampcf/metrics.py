@@ -19,6 +19,10 @@ from .model import ModelParams, score_items
 
 METRIC_NAMES = ("ndcg", "recall")
 
+# Rows ranked at once. At 20k items a block of negated scores plus its
+# partition indices is about 80 MB, whatever the batch size.
+RANK_BLOCK_ROWS = 256
+
 
 def ranked_candidates(scores, mask):
     """All unmasked item indices, best score first, index tie-break.
@@ -161,24 +165,91 @@ def _make_scorer(scorer, n_items):
     raise ConfigError(f"unsupported scorer type {type(scorer).__name__}")
 
 
+def _top_k_rows(neg, k):
+    """Per row of ``neg`` (negated scores), the columns of the k best
+    scores ordered by (-score, index): the head of ``ranked_candidates``.
+
+    A partial partition finds k smallest values; where values tied with
+    the k-th one straddle the cut, the row's set is rebuilt as every
+    column below it plus the lowest-index columns equal to it.
+    """
+    top = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    vals = np.take_along_axis(neg, top, axis=1)
+    kth = vals.max(axis=1, keepdims=True)
+    for r in np.flatnonzero(np.count_nonzero(neg <= kth, axis=1) > k):
+        row, t = neg[r], kth[r, 0]
+        below = np.flatnonzero(row < t)
+        top[r] = np.concatenate([below, np.flatnonzero(row == t)[:k - below.size]])
+        vals[r] = row[top[r]]
+    order = np.lexsort((top, vals), axis=1)
+    return np.take_along_axis(top, order, axis=1)
+
+
+def _flat_rows(vectors):
+    """(row, column, row size) index arrays of a non-empty list of
+    interaction vectors, one row per vector."""
+    sizes = np.array([v.item_indices.size for v in vectors])
+    rows = np.repeat(np.arange(len(vectors)), sizes)
+    return rows, np.concatenate([v.item_indices for v in vectors]), sizes
+
+
+def _rank_block(scores, block, ks, ideal, discount):
+    """NDCG and recall, each (len(ks), len(block)), of a block of
+    (user, fold-in, heldout) triples ranked on their rows of ``scores``."""
+    n_rows, n_items = scores.shape
+    fi_rows, fi_cols, _ = _flat_rows([fi for _, fi, _ in block])
+    ho_rows, ho_cols, n_held = _flat_rows([ho for _, _, ho in block])
+    if ho_cols.min() < 0 or ho_cols.max() >= n_items:
+        raise DataError(f"heldout item index out of range for {n_items} items")
+    held = np.zeros((n_rows, n_items), dtype=bool)
+    held[ho_rows, ho_cols] = True
+    clash = held[fi_rows, fi_cols]
+    if clash.any():
+        u = block[fi_rows[np.argmax(clash)]][0]
+        raise DataError(f"user {u}: fold-in and heldout overlap")
+    # A negated copy: the scorer's array stays untouched, and the fold-in
+    # items sort after every finite score. Past a user's unmasked count the
+    # top-k holds fold-in items, which are never hits.
+    neg = np.negative(scores)
+    neg[fi_rows, fi_cols] = np.inf
+    top = _top_k_rows(neg, discount.size)
+    hits = np.take_along_axis(held, top, axis=1).astype(np.float64)
+    gains = hits / discount
+    capped = np.minimum.outer(ks, n_held)
+    ndcg = np.stack([gains[:, :k].sum(axis=1) for k in ks]) / ideal[capped]
+    recall = np.stack([hits[:, :k].sum(axis=1) for k in ks]) / capped
+    return ndcg, recall
+
+
 def evaluate(users, scorer, ks, n_items=None, batch_size=1024,
              fingerprint="", keep_per_user=False):
     """Fold-in evaluation: infer latents from each user's fold-in items,
     score everything, mask the fold-in, and measure how well the heldout
     items rank. ``scorer`` is ModelParams, a static score vector, or a
-    callable mapping a dense fold-in batch to a score matrix.
+    callable mapping a dense fold-in batch to a score matrix; the array it
+    returns is never written to.
+
+    Each batch is ranked in blocks of ``RANK_BLOCK_ROWS`` rows with one
+    exact partial top-k, and every per-user value equals what
+    ``ndcg_at_k`` / ``recall_at_k`` give on the same scores.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise ConfigError("Ks must be positive")
     n_items, score_batch = _make_scorer(scorer, n_items)
-    max_k = ks[-1]
+    max_k = min(ks[-1], n_items)
+    # The oracle's denominators: DCG of n straight hits, n = 0..max_k.
+    ideal = np.array([_dcg(np.ones(n)) for n in range(max_k + 1)])
+    discount = np.log2(np.arange(2.0, max_k + 2.0))
 
     kept = [(u, fi, ho) for u, (fi, ho) in enumerate(users)
             if ho.item_indices.size > 0]
     n_skipped = len(users) - len(kept)
-    values = {(m, k): [] for m in METRIC_NAMES for k in ks}
-    per_user = []
+    if not kept:
+        raise DataError("no evaluable users (all heldout sets empty)")
+    # One contiguous row per (metric, K), so each mean and standard error
+    # sums the same values in the same order as a list would.
+    values = {m: np.empty((len(ks), len(kept))) for m in METRIC_NAMES}
 
     for start in range(0, len(kept), batch_size):
         chunk = kept[start:start + batch_size]
@@ -186,33 +257,30 @@ def evaluate(users, scorer, ks, n_items=None, batch_size=1024,
         scores = np.asarray(score_batch(dense), dtype=np.float64)
         if scores.shape != dense.shape:
             raise ConfigError(f"scorer returned {scores.shape}, expected {dense.shape}")
+        del dense
         # min and max propagate NaN, so both are finite only when every
         # score is, and neither allocates a batch-sized mask.
         if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
             raise NumericalError("scorer returned non-finite scores")
-        for row, (u, fi, ho) in enumerate(chunk):
-            mask = fi.item_indices
-            if np.intersect1d(mask, ho.item_indices).size:
-                raise DataError(f"user {u}: fold-in and heldout overlap")
-            order = ranked_candidates(scores[row], mask)[:max_k]
-            hits = np.isin(order, ho.item_indices).astype(np.float64)
-            gains = hits / np.log2(np.arange(2.0, hits.size + 2.0))
-            n_h = ho.item_indices.size
-            for k in ks:
-                ndcg = float(gains[:k].sum()) / _dcg(np.ones(min(k, n_h)))
-                recall = float(hits[:k].sum()) / min(k, n_h)
-                values[("ndcg", k)].append(ndcg)
-                values[("recall", k)].append(recall)
-                if keep_per_user:
-                    per_user.append((u, "ndcg", k, ndcg))
-                    per_user.append((u, "recall", k, recall))
+        for lo in range(0, len(chunk), RANK_BLOCK_ROWS):
+            block = chunk[lo:lo + RANK_BLOCK_ROWS]
+            cols = slice(start + lo, start + lo + len(block))
+            values["ndcg"][:, cols], values["recall"][:, cols] = _rank_block(
+                scores[lo:lo + len(block)], block, ks, ideal, discount)
+        # Freed before the next batch is scored, not after.
+        del scores
+
+    per_user = []
+    if keep_per_user:
+        for i, (u, _, _) in enumerate(kept):
+            for j, k in enumerate(ks):
+                for metric in METRIC_NAMES:
+                    per_user.append((u, metric, k, float(values[metric][j, i])))
 
     rows = []
     for metric in METRIC_NAMES:
-        for k in ks:
-            vs = np.asarray(values[(metric, k)])
-            if vs.size == 0:
-                raise DataError("no evaluable users (all heldout sets empty)")
+        for j, k in enumerate(ks):
+            vs = values[metric][j]
             se = float(vs.std(ddof=1) / math.sqrt(vs.size)) if vs.size > 1 else 0.0
             rows.append(MetricRow(metric=metric, k=k, mean=float(vs.mean()),
                                   se=se, n_users=int(vs.size)))

@@ -203,24 +203,52 @@ def _zeros_row(n):
     return Matrix(np.zeros((1, n)), requires_grad=True)
 
 
-def _make_trunk(rng, in_dim, hidden, depth, gated):
+def _empty(*shape):
+    return Matrix(np.empty(shape), requires_grad=True)
+
+
+def _make_trunk(weight, bias, in_dim, hidden, depth, gated):
     layers = []
     d = in_dim
     for _ in range(depth):
-        W = _glorot(rng, d, hidden)
-        b = _zeros_row(hidden)
-        V = _glorot(rng, d, hidden) if gated else None
-        c = _zeros_row(hidden) if gated else None
+        W = weight(d, hidden)
+        b = bias(hidden)
+        V = weight(d, hidden) if gated else None
+        c = bias(hidden) if gated else None
         layers.append(GatedLayerParams(W, b, V, c, gated))
         d = hidden
     return layers
 
 
-def _make_head(rng, hidden, out_dim):
+def _make_head(weight, bias, hidden, out_dim):
     return GaussianHead(
-        mean=LinearParams(_glorot(rng, hidden, out_dim), _zeros_row(out_dim)),
-        log_var=LinearParams(_glorot(rng, hidden, out_dim), _zeros_row(out_dim)),
+        mean=LinearParams(weight(hidden, out_dim), bias(out_dim)),
+        log_var=LinearParams(weight(hidden, out_dim), bias(out_dim)),
     )
+
+
+def _build_params(cfg, weight, bias):
+    """Every parameter but the pseudo-inputs, made by ``weight(fan_in,
+    fan_out)`` and ``bias(n)`` in a fixed order (the order of the random
+    draws in ``init_params``)."""
+    params = ModelParams(
+        config=cfg,
+        encoder_z2=_make_trunk(weight, bias, cfg.n_items, cfg.hidden, cfg.depth,
+                               cfg.gated),
+        head_z2=_make_head(weight, bias, cfg.hidden, cfg.d_z2),
+        decoder=_make_trunk(weight, bias,
+                            (cfg.d_z1 + cfg.d_z2) if cfg.two_level else cfg.d_z2,
+                            cfg.hidden, cfg.depth, cfg.gated),
+        head_out=LinearParams(weight(cfg.hidden, cfg.n_items), bias(cfg.n_items)),
+    )
+    if cfg.two_level:
+        params.encoder_z1 = _make_trunk(weight, bias, cfg.n_items + cfg.d_z2,
+                                        cfg.hidden, cfg.depth, cfg.gated)
+        params.head_z1 = _make_head(weight, bias, cfg.hidden, cfg.d_z1)
+        params.prior_z1_net = _make_trunk(weight, bias, cfg.d_z2, cfg.hidden,
+                                          cfg.depth, cfg.gated)
+        params.prior_z1_head = _make_head(weight, bias, cfg.hidden, cfg.d_z1)
+    return params
 
 
 def init_params(config, rng, train_matrix=None, pseudo_noise=0.01):
@@ -231,21 +259,8 @@ def init_params(config, rng, train_matrix=None, pseudo_noise=0.01):
     Gaussian noise.
     """
     cfg = config
-    params = ModelParams(
-        config=cfg,
-        encoder_z2=_make_trunk(rng, cfg.n_items, cfg.hidden, cfg.depth, cfg.gated),
-        head_z2=_make_head(rng, cfg.hidden, cfg.d_z2),
-        decoder=_make_trunk(rng, (cfg.d_z1 + cfg.d_z2) if cfg.two_level else cfg.d_z2,
-                            cfg.hidden, cfg.depth, cfg.gated),
-        head_out=LinearParams(_glorot(rng, cfg.hidden, cfg.n_items),
-                              _zeros_row(cfg.n_items)),
-    )
-    if cfg.two_level:
-        params.encoder_z1 = _make_trunk(rng, cfg.n_items + cfg.d_z2, cfg.hidden,
-                                        cfg.depth, cfg.gated)
-        params.head_z1 = _make_head(rng, cfg.hidden, cfg.d_z1)
-        params.prior_z1_net = _make_trunk(rng, cfg.d_z2, cfg.hidden, cfg.depth, cfg.gated)
-        params.prior_z1_head = _make_head(rng, cfg.hidden, cfg.d_z1)
+    params = _build_params(cfg, lambda fan_in, fan_out: _glorot(rng, fan_in, fan_out),
+                           _zeros_row)
     if cfg.prior == "vamp":
         if train_matrix is not None:
             n = train_matrix.shape[0]
@@ -255,6 +270,15 @@ def init_params(config, rng, train_matrix=None, pseudo_noise=0.01):
             base = np.zeros((cfg.n_pseudo, cfg.n_items))
         base = base + rng.normal(0.0, pseudo_noise, size=base.shape)
         params.pseudo_inputs = Matrix(base, requires_grad=True)
+    return params
+
+
+def empty_params(config):
+    """Parameters of every shape ``config`` implies, with uninitialised
+    storage: for a loader that overwrites every value."""
+    params = _build_params(config, _empty, lambda n: _empty(1, n))
+    if config.prior == "vamp":
+        params.pseudo_inputs = _empty(config.n_pseudo, config.n_items)
     return params
 
 
@@ -437,12 +461,21 @@ def vamp_log_density(z, params):
     logsumexp_k log N(z; mu_k, sigma_k^2) - log K, evaluated for the whole
     batch against all components at once.
     """
+    zv = z.z if isinstance(z, LatentSample) else z
+    return _mixture_log_density(zv, _vamp_components(params))
+
+
+def _vamp_components(params):
+    """The K mixture components: the encoded pseudo-inputs."""
     if params.config.prior != "vamp":
         raise ConfigError("vamp_log_density requires a vamp-prior model")
     if params.pseudo_inputs is None or params.pseudo_inputs.rows < 1:
         raise ConfigError("vamp prior has no pseudo-inputs")
-    zv = z.z if isinstance(z, LatentSample) else z
-    comp = encode_z2(params.pseudo_inputs, params, mode="eval")
+    return encode_z2(params.pseudo_inputs, params, mode="eval")
+
+
+def _mixture_log_density(zv, comp):
+    """log (1/K) sum_k N(z; comp.mean_k, exp(comp.log_var_k)) per row of zv."""
     prec = ad.exp(ad.scale(comp.log_var, -1.0))          # K x D
     mu_prec = ad.mul(comp.mean, prec)
     t_zz = ad.matmul(ad.mul(zv, zv), ad.transpose(prec))             # B x K
@@ -452,8 +485,7 @@ def vamp_log_density(z, params):
     log_norm = ad.scale(ad.transpose(ad.sum_rows(
         ad.add_scalar(comp.log_var, LOG_2PI))), -0.5)                # 1 x K
     log_comp = ad.add(ad.scale(quad, -0.5), log_norm)                # B x K
-    k = params.pseudo_inputs.rows
-    return ad.add_scalar(ad.logsumexp(log_comp), -math.log(k))
+    return ad.add_scalar(ad.logsumexp(log_comp), -math.log(comp.mean.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +570,8 @@ def elbo_decomposition(x, params, n_mc, rng):
     h = prepare_input(x, "eval")
     g2 = _encode_z2_prepared(h, params)
     entropy = float(np.mean(0.5 * np.sum(g2.log_var.data + 1.0 + LOG_2PI, axis=1)))
+    # The prior's components do not depend on the draw: encode them once.
+    comp = _vamp_components(params) if cfg.prior == "vamp" else None
 
     recon_draws = np.empty(n_mc)
     ce_draws = np.empty(n_mc)
@@ -553,7 +587,7 @@ def elbo_decomposition(x, params, n_mc, rng):
         if cfg.prior == "standard":
             log_prior = standard_normal_log_density(z2.z)
         else:
-            log_prior = vamp_log_density(z2.z, params)
+            log_prior = _mixture_log_density(z2.z, comp)
         ce_draws[s] = -log_prior.data.mean()
 
     def se(a):

@@ -16,7 +16,7 @@ import pytest
 from vampcf import autodiff as ad
 from vampcf.autodiff import Matrix, Tape
 from vampcf.cli import main
-from vampcf.data import split
+from vampcf.data import InteractionVector, split
 from vampcf.gridcheck import TOLERANCE, grid_cells, run_grid
 from vampcf.metrics import evaluate, ndcg_at_k, popularity_baseline, recall_at_k
 from vampcf.model import (GaussianParams, ModelConfig, elbo,
@@ -92,15 +92,23 @@ def test_2_metric_oracle_equivalence(capsys):
         n_held = int(rng.integers(1, m - n_mask))
         mask = set(owned[:n_mask].tolist())
         heldout = set(owned[n_mask:n_mask + n_held].tolist())
+        # The same instance through the batched evaluation path.
+        report = evaluate([(InteractionVector(0, sorted(mask)),
+                            InteractionVector(0, sorted(heldout)))],
+                          scores, ks=[k], keep_per_user=True)
+        batched = {metric: v for _, metric, _, v in report.per_user}
         worst = max(
             worst,
             abs(ndcg_at_k(scores, heldout, mask, k)
                 - brute_ndcg(scores, heldout, mask, k)),
             abs(recall_at_k(scores, heldout, mask, k)
-                - brute_recall(scores, heldout, mask, k)))
+                - brute_recall(scores, heldout, mask, k)),
+            abs(batched["ndcg"] - brute_ndcg(scores, heldout, mask, k)),
+            abs(batched["recall"] - brute_recall(scores, heldout, mask, k)))
     ok = worst < 1e-12
     verdict(capsys, f"[2] metric oracle: {'PASS' if ok else 'FAIL'}  "
-            f"1000 instances, max diff {worst:.2e} (tol 1e-12)")
+            f"1000 instances, per-user and batched, max diff {worst:.2e} "
+            f"(tol 1e-12)")
     assert worst < 1e-12
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 
 from vampcf import kernels
-from perfbench.spans import KERNELS
+from perfbench.spans import KERNELS, Tracer
 
 RNG = np.random.default_rng(123)
 
@@ -10,6 +10,20 @@ RNG = np.random.default_rng(123)
 def test_every_traced_kernel_is_callable():
     for name in KERNELS:
         assert callable(getattr(kernels, name)), name
+
+
+def test_tracer_installs_and_uninstalls():
+    # The traced benchmark wraps names on vampcf's modules by attribute;
+    # install() raises AttributeError if a refactor dropped one of them.
+    tracer = Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+    finally:
+        tracer.uninstall()
+    assert len(patched) > len(KERNELS)
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, (owner, attr)
 
 
 def test_sigmoid_matches_closed_form():

@@ -265,3 +265,91 @@ class TestEvaluate:
         row = report.row("ndcg", 3)
         assert row.se == pytest.approx(vals.std(ddof=1) / math.sqrt(vals.size))
         assert 0.0 <= row.mean <= 1.0
+
+
+class TestBatchedEvaluate:
+    """evaluate() ranks whole batches at once; every per-user value must
+    equal the per-user oracle on the same scores."""
+
+    def tie_heavy_case(self, seed, n_users, m):
+        rng = np.random.default_rng(seed)
+        # Few distinct integer scores, so ties straddle every cut-off.
+        scores = rng.integers(0, 4, size=(n_users, m)).astype(np.float64)
+        users = []
+        for _ in range(n_users):
+            # Some users leave fewer unmasked items than the largest K.
+            n_fold = int(rng.integers(0, m - 1))
+            perm = rng.permutation(m)
+            n_held = int(rng.integers(1, m - n_fold + 1))
+            users.append((iv(0, perm[:n_fold]),
+                          iv(0, perm[n_fold:n_fold + n_held])))
+        return users, scores
+
+    def assert_matches_oracle(self, users, scores, ks, **kw):
+        m = scores.shape[1]
+        rows = iter(range(len(users)))
+        report = evaluate(users, lambda dense: scores[[next(rows) for _ in dense]],
+                          ks=ks, n_items=m, keep_per_user=True, **kw)
+        oracle = {"ndcg": ndcg_at_k, "recall": recall_at_k}
+        assert len(report.per_user) == len(users) * len(ks) * 2
+        worst = 0.0
+        for u, metric, k, value in report.per_user:
+            fi, ho = users[u]
+            ref = oracle[metric](scores[u], ho.item_indices, fi.item_indices, k)
+            worst = max(worst, abs(value - ref))
+        assert worst <= 1e-12
+        for row in report.rows:
+            vals = [v for _, me, k, v in report.per_user
+                    if me == row.metric and k == row.k]
+            assert row.mean == pytest.approx(np.mean(vals), abs=1e-12)
+        return report
+
+    def test_ties_across_batches_and_row_blocks(self):
+        # 600 users: batches of 512 + 88, and the first batch spans more
+        # than one ranking row block.
+        users, scores = self.tie_heavy_case(21, 600, 30)
+        self.assert_matches_oracle(users, scores, ks=[1, 3, 7, 25, 40],
+                                   batch_size=512)
+
+    def test_largest_k_above_item_count(self):
+        users, scores = self.tie_heavy_case(22, 40, 9)
+        self.assert_matches_oracle(users, scores, ks=[2, 9, 50], batch_size=16)
+
+    def test_all_scores_tied(self):
+        users, _ = self.tie_heavy_case(23, 50, 20)
+        self.assert_matches_oracle(users, np.zeros((50, 20)), ks=[1, 5, 10])
+
+    def test_distinct_scores(self):
+        users, _ = self.tie_heavy_case(24, 70, 25)
+        scores = np.random.default_rng(25).normal(size=(70, 25))
+        self.assert_matches_oracle(users, scores, ks=[3, 10], batch_size=32)
+
+    def test_scorer_output_left_unchanged(self):
+        users, scores = self.tie_heavy_case(26, 30, 12)
+        returned = []
+
+        def scorer(dense):
+            out = scores[:dense.shape[0]].copy()
+            returned.append((out, out.copy()))
+            return out
+
+        evaluate(users, scorer, ks=[3, 5], n_items=12, batch_size=8)
+        assert len(returned) == 4
+        for out, before in returned:
+            assert np.array_equal(out, before)
+
+    def test_popularity_vector_left_unchanged(self):
+        users, scores = self.tie_heavy_case(27, 20, 12)
+        vec = scores[0].copy()
+        evaluate(users, vec, ks=[4])
+        assert np.array_equal(vec, scores[0])
+
+    def test_overlap_rejected(self):
+        users = [(iv(0, [0, 1]), iv(0, [2])), (iv(0, [1, 3]), iv(0, [3, 4]))]
+        with pytest.raises(DataError, match="user 1"):
+            evaluate(users, np.arange(6.0), ks=[2])
+
+    def test_heldout_index_out_of_range_rejected(self):
+        users = [(iv(0, [0, 1]), iv(0, [2, 6]))]
+        with pytest.raises(DataError, match="out of range"):
+            evaluate(users, np.arange(6.0), ks=[2])

@@ -510,6 +510,55 @@ class TestElboDecomposition:
         budget = 3.0 * math.sqrt(kl_se ** 2 + dec.cross_entropy_se ** 2)
         assert abs(gap - (-kls.mean())) <= budget
 
+    @pytest.mark.parametrize("hierarchy", ["flat", "two_level"])
+    def test_matches_per_draw_recomputation(self, hierarchy):
+        # The straightforward estimator: re-encode everything, prior
+        # components included, for every Monte Carlo draw.
+        cfg = tiny_cfg(prior="vamp", hierarchy=hierarchy, n_pseudo=4)
+        params = M.init_params(cfg, np.random.default_rng(60))
+        x = mat(random_binary(np.random.default_rng(61), 7, 6))
+        n_mc = 25
+        dec = M.elbo_decomposition(x, params, n_mc=n_mc,
+                                   rng=np.random.default_rng(62))
+        rng = np.random.default_rng(62)
+        g2 = M.encode_z2(x, params)
+        recon, ce = [], []
+        for _ in range(n_mc):
+            z2 = M.sample(g2, rng)
+            if cfg.two_level:
+                z1 = M.sample(M.encode_z1(x, z2, params), rng)
+                logits = M.decode(z1, z2, params)
+            else:
+                logits = M.decode(z2, None, params)
+            recon.append(M.log_lik_multinomial(logits, x).data.mean())
+            ce.append(-M.vamp_log_density(z2, params).data.mean())
+        recon, ce = np.array(recon), np.array(ce)
+        entropy = np.mean(0.5 * np.sum(g2.log_var.data + 1.0 + LOG_2PI, axis=1))
+        assert dec.n_mc == n_mc
+        assert dec.posterior_entropy == pytest.approx(entropy, abs=1e-12)
+        assert dec.recon == pytest.approx(recon.mean(), abs=1e-12)
+        assert dec.cross_entropy_prior == pytest.approx(ce.mean(), abs=1e-12)
+        assert dec.recon_se == pytest.approx(
+            recon.std(ddof=1) / math.sqrt(n_mc), abs=1e-12)
+        assert dec.cross_entropy_se == pytest.approx(
+            ce.std(ddof=1) / math.sqrt(n_mc), abs=1e-12)
+
+    def test_prior_components_encoded_once(self, monkeypatch):
+        cfg = tiny_cfg(prior="vamp", n_pseudo=3)
+        params = M.init_params(cfg, np.random.default_rng(63))
+        x = mat(random_binary(np.random.default_rng(64), 4, 6))
+        pseudo_rows = []
+        real = M.encode_z2
+
+        def counting(x_in, *args, **kwargs):
+            if x_in is params.pseudo_inputs:
+                pseudo_rows.append(x_in.rows)
+            return real(x_in, *args, **kwargs)
+
+        monkeypatch.setattr(M, "encode_z2", counting)
+        M.elbo_decomposition(x, params, n_mc=10, rng=np.random.default_rng(65))
+        assert pseudo_rows == [3]
+
     def test_empty_batch_rejected(self):
         params = M.init_params(tiny_cfg(), np.random.default_rng(0))
         with pytest.raises(ConfigError):
