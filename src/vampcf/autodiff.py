@@ -6,6 +6,9 @@ backward closures; ``Tape.backward`` replays them in reverse, accumulating
 into ``Matrix.grad``. With no active tape the same functions are plain
 numpy computations, which is the evaluation fast path.
 
+The one sparse operand is a CSR batch of interaction rows, the left side of
+``sparse_matmul``; it is a constant.
+
 Broadcasting is deliberately limited to adding/subtracting a single-row
 vector across the rows of a matrix (bias addition); everything else must
 shape-match exactly.
@@ -155,6 +158,50 @@ def matmul(a, b):
                 _acc(a, g @ b.data.T)
             if b.requires_grad:
                 _acc(b, a.data.T @ g)
+
+        tape._ops.append(bwd)
+    return out
+
+
+def sparse_matmul(x, w, tail=None):
+    """``[x | tail] @ w`` for a CSR batch ``x`` and an optional dense
+    ``tail`` whose columns follow x's.
+
+    ``x`` is a constant (``data``/``indices``/``indptr``/``shape`` in
+    scipy's layout); no gradient flows into it. Row r of ``x @ w`` is its
+    stored values times the rows of ``w`` at its columns, so the forward
+    pass reads only those rows. The gradient into ``w`` is one GEMM on x
+    densified for the backward pass only.
+    """
+    n, m = x.shape
+    t = 0 if tail is None else tail.cols
+    if m + t != w.rows or (tail is not None and tail.rows != n):
+        raise ShapeError(f"sparse_matmul: {x.shape} | {(n, t)} x {w.shape}")
+    wd = w.data
+    vals, idx, ptr = x.data, x.indices, x.indptr.tolist()
+    out_data = np.empty((n, w.cols))
+    for r in range(n):
+        lo, hi = ptr[r], ptr[r + 1]
+        np.dot(vals[lo:hi], wd.take(idx[lo:hi], axis=0), out=out_data[r])
+    if tail is not None:
+        out_data += tail.data @ wd[m:]
+    out = _wrap(out_data)
+    tape = _ACTIVE
+    if tape is not None and (w.requires_grad or (tail is not None and tail.requires_grad)):
+        out.requires_grad = True
+
+        def bwd():
+            g = out.grad
+            if g is None:
+                return
+            if w.requires_grad:
+                gw = np.empty(w.shape)
+                np.matmul(x.toarray().T, g, out=gw[:m])
+                if tail is not None:
+                    np.matmul(tail.data.T, g, out=gw[m:])
+                _acc(w, gw)
+            if tail is not None and tail.requires_grad:
+                _acc(tail, g @ wd[m:].T)
 
         tape._ops.append(bwd)
     return out

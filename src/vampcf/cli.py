@@ -12,17 +12,15 @@ import os
 import shutil
 import sys
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
-from .data import ingest, load_split, save_split, split, vocab_fingerprint
+from .data import (CSRMatrix, InteractionVector, ingest, load_split, save_split,
+                   split, vocab_fingerprint)
 from .errors import ConfigError, DataError, NumericalError, VampCFError
 from .gridcheck import TOLERANCE, run_grid
 from .metrics import evaluate, ranked_candidates
 from .model import score_items
 from .training import train
-from .autodiff import Matrix
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,11 +168,9 @@ def cmd_recommend(args):
         print(f"warning: unknown item id {item!r} dropped", file=sys.stderr)
     if not known:
         raise DataError("no usable items in the interaction list")
-    m = len(vocab)
-    x = np.zeros((1, m))
     mask = sorted(index_of[i] for i in set(known))
-    x[0, mask] = 1.0
-    scores = score_items(Matrix(x), params).data[0]
+    x = CSRMatrix.from_vectors([InteractionVector(0, mask)], len(vocab))
+    scores = score_items(x, params).data[0]
     top = ranked_candidates(scores, set(mask))[:args.top_n]
     for idx in top:
         print(f"{vocab[idx]}\t{scores[idx]:.6f}")

@@ -203,25 +203,98 @@ def split(data, n_heldout_users, fold_in_fraction=0.8, seed=0):
     )
 
 
+def _check_item_range(indices, n_items):
+    """ShapeError naming the first index outside [0, n_items)."""
+    bad = (indices < 0) | (indices >= n_items)
+    if bad.any():
+        raise ShapeError(
+            f"item index {int(indices[np.argmax(bad)])} out of bounds for M={n_items}")
+
+
+class CSRMatrix:
+    """Compressed sparse rows, with scipy.sparse's attribute names.
+
+    Row ``r`` holds the values ``data[indptr[r]:indptr[r + 1]]`` at the
+    columns ``indices[indptr[r]:indptr[r + 1]]``, strictly increasing
+    within the row. ``rows`` and ``cols`` mirror ``Matrix``.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @classmethod
+    def from_vectors(cls, vectors, n_items):
+        """0/1 rows with ones at each vector's item indices."""
+        sizes = np.array([v.item_indices.size for v in vectors], dtype=np.int64)
+        indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        indices = np.concatenate([v.item_indices for v in vectors]) \
+            if vectors else np.zeros(0, dtype=np.int64)
+        _check_item_range(indices, n_items)
+        return cls(np.ones(indices.size), indices, indptr, (len(vectors), n_items))
+
+    @classmethod
+    def from_dense(cls, x):
+        """The nonzero entries of a 2-D ``Matrix`` or array."""
+        arr = x.data if isinstance(x, Matrix) else np.asarray(x, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ShapeError(f"CSRMatrix needs a 2-D input, got ndim={arr.ndim}")
+        rows, cols = np.nonzero(arr)
+        indptr = np.zeros(arr.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=arr.shape[0]), out=indptr[1:])
+        return cls(arr[rows, cols], cols.astype(np.int64, copy=False), indptr,
+                   arr.shape)
+
+    @property
+    def rows(self):
+        return self.shape[0]
+
+    @property
+    def cols(self):
+        return self.shape[1]
+
+    def __repr__(self):
+        return f"CSRMatrix({self.rows}x{self.cols}, nnz={self.indices.size})"
+
+    def row_ids(self):
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.rows), np.diff(self.indptr))
+
+    def with_data(self, data):
+        """Same sparsity pattern, new values."""
+        return CSRMatrix(data, self.indices, self.indptr, self.shape)
+
+    def take_rows(self, rows):
+        """A new matrix of the given rows, in order (repeats allowed)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        sizes = self.indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        pick = np.repeat(starts - indptr[:-1], sizes) + np.arange(indptr[-1])
+        return CSRMatrix(self.data[pick], self.indices[pick], indptr,
+                         (rows.size, self.cols))
+
+    def toarray(self):
+        """The dense (rows, cols) float64 array."""
+        out = np.zeros(self.shape)
+        out[self.row_ids(), self.indices] = self.data
+        return out
+
+
 def to_dense(v, n_items):
     """0/1 row vector of length n_items with ones at the interaction indices."""
-    if v.item_indices.size and int(v.item_indices[-1]) >= n_items:
-        raise ShapeError(
-            f"item index {int(v.item_indices[-1])} out of bounds for M={n_items}")
-    row = np.zeros((1, n_items))
-    row[0, v.item_indices] = 1.0
-    return Matrix(row)
+    return to_dense_batch([v], n_items)
 
 
 def to_dense_batch(vectors, n_items):
     """Stack interaction vectors into a dense (len(vectors), n_items) matrix."""
-    out = np.zeros((len(vectors), n_items))
-    for r, v in enumerate(vectors):
-        if v.item_indices.size and int(v.item_indices[-1]) >= n_items:
-            raise ShapeError(
-                f"item index {int(v.item_indices[-1])} out of bounds for M={n_items}")
-        out[r, v.item_indices] = 1.0
-    return Matrix(out)
+    return Matrix(CSRMatrix.from_vectors(vectors, n_items).toarray())
 
 
 def vocab_fingerprint(vocab):
@@ -287,13 +360,17 @@ def save_split(ds, out_dir):
         fh.write("\n")
 
 
-def _read_pairs_csv(path):
+def _read_pairs_csv(path, n_items):
     by_user = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)  # header
         for row in reader:
-            by_user.setdefault(int(row[0]), []).append(int(row[1]))
+            item = int(row[1])
+            if not 0 <= item < n_items:
+                raise DataError(
+                    f"{path}: item index {item} out of range for {n_items} items")
+            by_user.setdefault(int(row[0]), []).append(item)
     return {u: np.array(sorted(items), dtype=np.int64) for u, items in by_user.items()}
 
 
@@ -311,13 +388,14 @@ def load_split(split_dir):
         for row in reader:
             vocab.append(row[1])
 
-    train_map = _read_pairs_csv(os.path.join(split_dir, "train.csv"))
+    n_items = len(vocab)
+    train_map = _read_pairs_csv(os.path.join(split_dir, "train.csv"), n_items)
     train_users = [InteractionVector(u, train_map[u]) for u in sorted(train_map)]
 
     def load_pairs(kind):
         tr_name, te_name = _PAIR_FILES[kind]
-        tr = _read_pairs_csv(os.path.join(split_dir, tr_name))
-        te = _read_pairs_csv(os.path.join(split_dir, te_name))
+        tr = _read_pairs_csv(os.path.join(split_dir, tr_name), n_items)
+        te = _read_pairs_csv(os.path.join(split_dir, te_name), n_items)
         if sorted(tr) != sorted(te):
             raise DataError(f"{kind}: fold-in and heldout user sets differ")
         return [(InteractionVector(u, tr[u]), InteractionVector(u, te[u]))

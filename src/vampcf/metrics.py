@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Matrix
-from .data import to_dense_batch
+# Callable scorers get their batch from to_dense_batch; perfbench wraps it
+# by attribute here (``metrics.to_dense_batch``), so the name must stay.
+from .data import CSRMatrix, to_dense_batch
 from .errors import ConfigError, DataError, NumericalError
 from .model import ModelParams, score_items
 
@@ -148,20 +149,22 @@ class MetricReport:
 
 
 def _make_scorer(scorer, n_items):
+    """(n_items, function from a list of fold-in vectors to their scores)."""
     if isinstance(scorer, ModelParams):
         m = scorer.config.n_items
         if n_items is not None and n_items != m:
             raise ConfigError(f"model expects {m} items, split has {n_items}")
-        return m, lambda dense: score_items(Matrix(dense), scorer).data
+        return m, lambda fold_in: score_items(
+            CSRMatrix.from_vectors(fold_in, m), scorer).data
     if isinstance(scorer, np.ndarray):
         vec = np.asarray(scorer, dtype=np.float64).ravel()
         if n_items is not None and n_items != vec.size:
             raise ConfigError(f"score vector has {vec.size} items, split has {n_items}")
-        return vec.size, lambda dense: np.broadcast_to(vec, (dense.shape[0], vec.size))
+        return vec.size, lambda fold_in: np.broadcast_to(vec, (len(fold_in), vec.size))
     if callable(scorer):
         if n_items is None:
             raise ConfigError("callable scorer needs explicit n_items")
-        return n_items, scorer
+        return n_items, lambda fold_in: scorer(to_dense_batch(fold_in, n_items).data)
     raise ConfigError(f"unsupported scorer type {type(scorer).__name__}")
 
 
@@ -253,11 +256,10 @@ def evaluate(users, scorer, ks, n_items=None, batch_size=1024,
 
     for start in range(0, len(kept), batch_size):
         chunk = kept[start:start + batch_size]
-        dense = to_dense_batch([fi for _, fi, _ in chunk], n_items).data
-        scores = np.asarray(score_batch(dense), dtype=np.float64)
-        if scores.shape != dense.shape:
-            raise ConfigError(f"scorer returned {scores.shape}, expected {dense.shape}")
-        del dense
+        scores = np.asarray(score_batch([fi for _, fi, _ in chunk]), dtype=np.float64)
+        if scores.shape != (len(chunk), n_items):
+            raise ConfigError(f"scorer returned {scores.shape}, "
+                              f"expected {(len(chunk), n_items)}")
         # min and max propagate NaN, so both are finite only when every
         # score is, and neither allocates a batch-sized mask.
         if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):

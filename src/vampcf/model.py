@@ -6,6 +6,12 @@ multinomial or Bernoulli likelihood. All forward functions operate on
 batches (one user per row) and are differentiable through the autodiff
 tape; evaluation-mode calls with no active tape are plain numpy.
 
+Interaction batches run as CSR (``data.CSRMatrix``): each encoder's first
+layer reads only the weight rows at a user's items. A dense ``Matrix``
+batch is converted at entry, so both forms give the same scores bit for
+bit. Only a learnable dense input, the vamp pseudo-inputs, keeps the dense
+product, so that its gradient can flow.
+
 Latent naming follows the hierarchy: ``z2`` is the top-level latent whose
 prior is standard or vamp, ``z1`` the lower latent with a learned
 conditional prior. Flat models use ``z2`` alone and ``z1`` aliases it.
@@ -17,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Matrix
+from .data import CSRMatrix
 from .errors import ConfigError, ShapeError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -254,9 +261,9 @@ def _build_params(cfg, weight, bias):
 def init_params(config, rng, train_matrix=None, pseudo_noise=0.01):
     """Fresh parameters; pseudo-inputs copy random training rows plus noise.
 
-    ``train_matrix`` is an (N, n_items) 0/1 array used for data-dependent
-    pseudo-input initialization; without it pseudo-inputs start as small
-    Gaussian noise.
+    ``train_matrix`` is an (N, n_items) 0/1 ``CSRMatrix`` or array used for
+    data-dependent pseudo-input initialization; without it pseudo-inputs
+    start as small Gaussian noise.
     """
     cfg = config
     params = _build_params(cfg, lambda fan_in, fan_out: _glorot(rng, fan_in, fan_out),
@@ -265,7 +272,9 @@ def init_params(config, rng, train_matrix=None, pseudo_noise=0.01):
         if train_matrix is not None:
             n = train_matrix.shape[0]
             rows = rng.choice(n, size=cfg.n_pseudo, replace=cfg.n_pseudo > n)
-            base = np.asarray(train_matrix, dtype=np.float64)[rows]
+            base = train_matrix.take_rows(rows).toarray() \
+                if isinstance(train_matrix, CSRMatrix) \
+                else np.asarray(train_matrix, dtype=np.float64)[rows]
         else:
             base = np.zeros((cfg.n_pseudo, cfg.n_items))
         base = base + rng.normal(0.0, pseudo_noise, size=base.shape)
@@ -291,20 +300,30 @@ def _check_mode(mode):
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def gated_layer(x, p):
-    """(xW + b) * sigmoid(xV + c) when gated, else tanh(xW + b)."""
-    if x.cols != p.W.rows:
-        raise ShapeError(f"gated_layer: input {x.shape} vs weight {p.W.shape}")
-    lin = ad.add(ad.matmul(x, p.W), p.b)
+def _product(x, w, tail):
+    """``[x | tail] @ w``: a row gather for a CSR ``x``, else one GEMM."""
+    if isinstance(x, CSRMatrix):
+        return ad.sparse_matmul(x, w, tail)
+    return ad.matmul(x, w)
+
+
+def gated_layer(x, p, tail=None):
+    """(hW + b) * sigmoid(hV + c) when gated, else tanh(hW + b), for
+    h = [x | tail]; a ``tail`` (dense columns after x's) needs a CSR x."""
+    width = x.cols + (0 if tail is None else tail.cols)
+    if width != p.W.rows:
+        raise ShapeError(f"gated_layer: input width {width} vs weight {p.W.shape}")
+    lin = ad.add(_product(x, p.W, tail), p.b)
     if not p.gated:
         return ad.tanh(lin)
-    gate = ad.sigmoid(ad.add(ad.matmul(x, p.V), p.c))
+    gate = ad.sigmoid(ad.add(_product(x, p.V, tail), p.c))
     return ad.mul(lin, gate)
 
 
-def _run_trunk(h, layers):
+def _run_trunk(h, layers, tail=None):
     for lay in layers:
-        h = gated_layer(h, lay)
+        h = gated_layer(h, lay, tail)
+        tail = None
     return h
 
 
@@ -315,25 +334,46 @@ def _run_head(h, head):
     return GaussianParams(mean, log_var)
 
 
+def as_batch(x):
+    """An interaction batch as CSR. A ``CSRMatrix`` and a learnable dense
+    ``Matrix`` (the pseudo-inputs) pass through unchanged."""
+    if isinstance(x, CSRMatrix) or x.requires_grad:
+        return x
+    return CSRMatrix.from_dense(x)
+
+
 def prepare_input(x, mode="eval", dropout_rate=0.0, rng=None):
     """L2-normalize each row, then (training only) drop entries at random,
-    rescaling survivors by 1/(1-rate). All-zero rows pass through."""
+    rescaling survivors by 1/(1-rate). All-zero rows pass through.
+
+    A CSR batch keeps its pattern: only its stored values are scaled, and
+    the dropout draws one uniform per stored value. A learnable dense input
+    is only normalized; it takes no dropout.
+    """
     _check_mode(mode)
-    h = ad.l2_normalize_rows(x)
-    if mode == "train" and dropout_rate > 0.0:
-        if rng is None:
-            raise ConfigError("training-mode dropout needs an rng")
-        keep = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
-        h = ad.mul(h, ad.constant(keep))
-    return h
+    dropout = mode == "train" and dropout_rate > 0.0
+    if dropout and rng is None:
+        raise ConfigError("training-mode dropout needs an rng")
+    x = as_batch(x)
+    if isinstance(x, Matrix):
+        if dropout:
+            raise ConfigError("dropout applies to interaction batches, "
+                              "not to a learnable dense input")
+        return ad.l2_normalize_rows(x)
+    row = x.row_ids()
+    sq = np.bincount(row, weights=x.data * x.data, minlength=x.rows)
+    inv = np.where(sq > 0.0, 1.0 / np.sqrt(np.where(sq > 0.0, sq, 1.0)), 1.0)
+    vals = x.data * inv[row]
+    if dropout:
+        vals *= (rng.random(vals.size) >= dropout_rate) / (1.0 - dropout_rate)
+    return x.with_data(vals)
 
 
 def encode_z2(x, params, mode="eval", dropout_rate=0.0, rng=None):
     """Variational posterior over the top latent given an interaction row."""
     if x.cols != params.config.n_items:
         raise ShapeError(f"encode_z2: {x.cols} columns vs n_items={params.config.n_items}")
-    h = prepare_input(x, mode, dropout_rate, rng)
-    return _run_head(_run_trunk(h, params.encoder_z2), params.head_z2)
+    return _encode_z2_prepared(prepare_input(x, mode, dropout_rate, rng), params)
 
 
 def _encode_z2_prepared(h, params):
@@ -341,8 +381,11 @@ def _encode_z2_prepared(h, params):
 
 
 def _encode_z1_prepared(h, z2_value, params):
-    joint = ad.concat_cols(h, z2_value)
-    return _run_head(_run_trunk(joint, params.encoder_z1), params.head_z1)
+    """The first layer reads [items | z2]: a gather over the items and a
+    small GEMM over z2 for CSR input, one concatenated GEMM for dense."""
+    if isinstance(h, Matrix):
+        h, z2_value = ad.concat_cols(h, z2_value), None
+    return _run_head(_run_trunk(h, params.encoder_z1, z2_value), params.head_z1)
 
 
 def encode_z1(x, z2, params, mode="eval", dropout_rate=0.0, rng=None):
@@ -395,9 +438,15 @@ def decode(z1, z2, params):
 # Densities and divergences (all per-row, returning (n, 1) columns)
 # ---------------------------------------------------------------------------
 
+def _dense_target(x):
+    """The 0/1 target as a dense constant; a CSR batch is densified."""
+    return ad.constant(x.toarray()) if isinstance(x, CSRMatrix) else x
+
+
 def log_lik_multinomial(logits, x):
     """Sum over consumed items of the log-softmax scores; the multinomial
     coefficient is constant in the parameters and omitted."""
+    x = _dense_target(x)
     if logits.shape != x.shape:
         raise ShapeError(f"log_lik_multinomial: {logits.shape} vs {x.shape}")
     return ad.sum_rows(ad.mul(x, ad.softmax_log(logits)))
@@ -406,6 +455,7 @@ def log_lik_multinomial(logits, x):
 def log_lik_bernoulli(logits, x):
     """Per-item binary cross-entropy in stable logit form:
     sum_i [x_i * l_i - softplus(l_i)]."""
+    x = _dense_target(x)
     if logits.shape != x.shape:
         raise ShapeError(f"log_lik_bernoulli: {logits.shape} vs {x.shape}")
     return ad.sum_rows(ad.sub(ad.mul(x, logits), ad.softplus(logits)))
@@ -512,6 +562,7 @@ def elbo(x, params, beta, rng=None, mode="eval", dropout_rate=0.0, noise=None):
         raise ConfigError(f"beta must be in [0, 1], got {beta}")
     _check_mode(mode)
     cfg = params.config
+    x = as_batch(x)
     n = x.rows
     noise = noise or {}
 
@@ -567,6 +618,8 @@ def elbo_decomposition(x, params, n_mc, rng):
     if x.rows < 1:
         raise ConfigError("elbo_decomposition needs a non-empty batch")
     cfg = params.config
+    x = as_batch(x)
+    target = _dense_target(x)
     h = prepare_input(x, "eval")
     g2 = _encode_z2_prepared(h, params)
     entropy = float(np.mean(0.5 * np.sum(g2.log_var.data + 1.0 + LOG_2PI, axis=1)))
@@ -583,7 +636,7 @@ def elbo_decomposition(x, params, n_mc, rng):
             logits = decode(z1, z2, params)
         else:
             logits = decode(z2, None, params)
-        recon_draws[s] = log_likelihood(logits, x, cfg.likelihood).data.mean()
+        recon_draws[s] = log_likelihood(logits, target, cfg.likelihood).data.mean()
         if cfg.prior == "standard":
             log_prior = standard_normal_log_density(z2.z)
         else:

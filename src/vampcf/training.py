@@ -16,7 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .autodiff import Matrix, Tape
+from .autodiff import Tape
+from .data import CSRMatrix
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import METRIC_NAMES, evaluate
 from .model import elbo, init_params
@@ -134,9 +135,7 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
                           f"split has {split.n_items}")
 
     n = len(split.train_users)
-    dense = np.zeros((n, split.n_items))
-    for r, u in enumerate(split.train_users):
-        dense[r, u.item_indices] = 1.0
+    train_matrix = CSRMatrix.from_vectors(split.train_users, split.n_items)
 
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     if cfg.anneal_steps is None:
@@ -144,7 +143,7 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
     metric_name, metric_k = parse_metric(cfg.eval_metric)
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(model_cfg, rng, train_matrix=dense)
+    params = init_params(model_cfg, rng, train_matrix=train_matrix)
     state = OptimizerState.for_params(params)
 
     best_metric, best_params, best_epoch = -math.inf, params.copy(), -1
@@ -160,7 +159,7 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
             aborted = None
             for rows in _batches(order, cfg.batch_size):
                 beta = beta_at(step, cfg)
-                x = Matrix(dense[rows])
+                x = train_matrix.take_rows(rows)
                 params.zero_grad()
                 try:
                     with Tape() as tape:

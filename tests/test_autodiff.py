@@ -260,3 +260,49 @@ def test_vector_and_scalar_coercion():
     assert Matrix(2.5).shape == (1, 1)
     with pytest.raises(ShapeError):
         Matrix(np.zeros((2, 2, 2)))
+
+
+def _random_csr(rng, n, m, density=0.3):
+    from vampcf.data import CSRMatrix
+    x = (rng.random((n, m)) < density) * rng.uniform(0.1, 2.0, size=(n, m))
+    x[0] = 0.0  # an empty row
+    return CSRMatrix.from_dense(x), x
+
+
+class TestSparseMatmul:
+    def test_matches_dense_product(self):
+        rng = np.random.default_rng(70)
+        x, dense = _random_csr(rng, 9, 40)
+        w = Matrix(rng.standard_normal((40, 7)))
+        out = ad.sparse_matmul(x, w)
+        np.testing.assert_allclose(out.data, dense @ w.data, rtol=0, atol=1e-12)
+        assert np.all(out.data[0] == 0.0)
+
+    def test_tail_matches_concatenated_product(self):
+        rng = np.random.default_rng(71)
+        x, dense = _random_csr(rng, 6, 25)
+        tail = Matrix(rng.standard_normal((6, 4)))
+        w = Matrix(rng.standard_normal((29, 5)))
+        out = ad.sparse_matmul(x, w, tail)
+        expected = np.concatenate([dense, tail.data], axis=1) @ w.data
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    def test_weight_and_tail_gradients_pass_grad_check(self):
+        rng = np.random.default_rng(72)
+        x, _ = _random_csr(rng, 5, 12)
+        w = Matrix(rng.uniform(-1, 1, size=(15, 4)), requires_grad=True)
+        tail = Matrix(rng.uniform(-1, 1, size=(5, 3)), requires_grad=True)
+        probe = ad.constant(rng.uniform(-1, 1, size=(5, 4)))
+        f = lambda: ad.sum_all(ad.mul(ad.tanh(ad.sparse_matmul(x, w, tail)), probe))
+        assert grad_check(f, [w, tail], eps=1e-5) < 1e-6
+        w_only = Matrix(w.data[:12].copy(), requires_grad=True)
+        g = lambda: ad.sum_all(ad.mul(ad.tanh(ad.sparse_matmul(x, w_only)), probe))
+        assert grad_check(g, w_only, eps=1e-5) < 1e-6
+
+    def test_width_mismatch_rejected(self):
+        rng = np.random.default_rng(73)
+        x, _ = _random_csr(rng, 3, 8)
+        with pytest.raises(ShapeError):
+            ad.sparse_matmul(x, Matrix(np.zeros((9, 2))))
+        with pytest.raises(ShapeError):
+            ad.sparse_matmul(x, Matrix(np.zeros((10, 2))), Matrix(np.zeros((2, 2))))

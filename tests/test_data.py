@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from vampcf.data import (DatasetSplit, InteractionVector, ingest, load_split,
-                         parse_ratings, save_split, split, to_dense,
+from vampcf.data import (CSRMatrix, DatasetSplit, InteractionVector, ingest,
+                         load_split, parse_ratings, save_split, split, to_dense,
                          to_dense_batch, vocab_fingerprint)
 from vampcf.errors import ConfigError, DataError, ShapeError
 
@@ -220,11 +220,53 @@ class TestDense:
         with pytest.raises(ShapeError):
             to_dense_batch([v], 4)
 
+    def test_negative_index_rejected(self):
+        v = InteractionVector(0, np.array([-1, 2], dtype=np.int64))
+        with pytest.raises(ShapeError, match="-1"):
+            to_dense(v, 5)
+        with pytest.raises(ShapeError, match="-1"):
+            to_dense_batch([v], 5)
+        with pytest.raises(ShapeError, match="-1"):
+            CSRMatrix.from_vectors([v], 5)
+
     def test_unsorted_indices_rejected(self):
         with pytest.raises(DataError):
             InteractionVector(0, np.array([3, 1], dtype=np.int64))
         with pytest.raises(DataError):
             InteractionVector(0, np.array([2, 2], dtype=np.int64))
+
+
+class TestCSRMatrix:
+    def vectors(self):
+        return [InteractionVector(0, np.array([1, 4], dtype=np.int64)),
+                InteractionVector(1, np.array([], dtype=np.int64)),
+                InteractionVector(2, np.array([0, 2, 5], dtype=np.int64))]
+
+    def test_from_vectors_matches_dense_batch(self):
+        x = CSRMatrix.from_vectors(self.vectors(), 6)
+        assert x.shape == (3, 6) and x.rows == 3 and x.cols == 6 and x.indices.size == 5
+        assert x.indptr.tolist() == [0, 2, 2, 5]
+        assert x.indices.tolist() == [1, 4, 0, 2, 5]
+        assert np.array_equal(x.toarray(), to_dense_batch(self.vectors(), 6).data)
+
+    def test_from_dense_round_trip(self):
+        rng = np.random.default_rng(3)
+        dense = (rng.random((7, 9)) < 0.3) * rng.normal(size=(7, 9))
+        dense[2] = 0.0
+        x = CSRMatrix.from_dense(dense)
+        assert np.array_equal(x.toarray(), dense)
+        assert x.indices.size == np.count_nonzero(dense)
+        assert np.array_equal(x.row_ids(), np.nonzero(dense)[0])
+
+    def test_take_rows_in_order_with_repeats(self):
+        x = CSRMatrix.from_vectors(self.vectors(), 6)
+        rows = [2, 0, 1, 2]
+        assert np.array_equal(x.take_rows(rows).toarray(), x.toarray()[rows])
+        assert x.take_rows([]).shape == (0, 6)
+
+    def test_empty_batch(self):
+        x = CSRMatrix.from_vectors([], 4)
+        assert x.shape == (0, 4) and x.toarray().shape == (0, 4)
 
 
 class TestSplitArtifact:
@@ -256,6 +298,21 @@ class TestSplitArtifact:
         for (afi, aho), (bfi, bho) in zip(ds.validation_users, back.validation_users):
             assert np.array_equal(afi.item_indices, bfi.item_indices)
             assert np.array_equal(aho.item_indices, bho.item_indices)
+
+    @pytest.mark.parametrize("name", ["train.csv", "validation_tr.csv", "test_te.csv"])
+    @pytest.mark.parametrize("bad", ["-1", "n_items"])
+    def test_item_index_out_of_range_rejected(self, tmp_path, name, bad):
+        ds = split(unique_histories(40), n_heldout_users=5, seed=12)
+        out = tmp_path / "s"
+        save_split(ds, str(out))
+        path = out / name
+        lines = path.read_text().splitlines()
+        user = lines[1].split(",")[0]
+        index = str(ds.n_items) if bad == "n_items" else bad
+        lines[1] = f"{user},{index}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"{name}: item index {index} out of range"):
+            load_split(str(out))
 
     def test_meta_records_parameters_and_fingerprint(self, tmp_path):
         data = unique_histories(40)

@@ -1,7 +1,11 @@
 """The numpy kernels against closed forms and at extreme arguments."""
 import numpy as np
 
-from vampcf import kernels
+from vampcf import kernels, metrics, training
+from vampcf.data import split
+from vampcf.model import ModelConfig, init_params
+from vampcf.synthetic import archetype_interactions
+from vampcf.training import TrainConfig
 from perfbench.spans import KERNELS, Tracer
 
 RNG = np.random.default_rng(123)
@@ -15,15 +19,37 @@ def test_every_traced_kernel_is_callable():
 def test_tracer_installs_and_uninstalls():
     # The traced benchmark wraps names on vampcf's modules by attribute;
     # install() raises AttributeError if a refactor dropped one of them.
+    # A traced evaluate and a traced one-epoch train must then run through
+    # the wrappers, whose hooks read the batch's data, rows and shape.
+    ds = split(archetype_interactions(n_users=60, n_items=30, n_archetypes=2,
+                                      seed=1, min_items=6, max_items=10),
+               n_heldout_users=8, seed=1)
+    mc = ModelConfig(n_items=ds.n_items, prior="vamp", hierarchy="two_level",
+                     hidden=8, d_z1=4, d_z2=4, n_pseudo=3)
+    params = init_params(mc, np.random.default_rng(0))
+    tc = TrainConfig(batch_size=16, max_epochs=1, seed=0, eval_metric="ndcg@10")
     tracer = Tracer()
     try:
         tracer.install()
         patched = list(tracer._patches)
+        tracer.enabled = True
+        metrics.evaluate(ds.test_users, params, ks=[5, 10])
+        training.train(ds, mc, tc)
     finally:
+        tracer.enabled = False
         tracer.uninstall()
     assert len(patched) > len(KERNELS)
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, (owner, attr)
+    names = {s[1] for s in tracer.spans}
+    for name in ("metrics.evaluate", "model.score_items", "training.train",
+                 "model.elbo", "training.adam_step", "training.validation",
+                 "model.vamp_log_density", "model.init_params"):
+        assert name in names, name
+    c = tracer.counts
+    assert c["steps_completed"] == c["steps_attempted"] == 3
+    assert c["elbo_rows"] == len(ds.train_users)
+    assert 0 < c["input_nnz"] <= c["input_size"]
 
 
 def test_sigmoid_matches_closed_form():

@@ -9,10 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from vampcf.data import InteractionVector
+from vampcf.data import InteractionVector, to_dense_batch
 from vampcf.errors import ConfigError, DataError, NumericalError
 from vampcf.metrics import (MetricReport, evaluate, ndcg_at_k,
                             popularity_baseline, ranked_candidates, recall_at_k)
+from vampcf.model import ModelConfig, init_params, score_items
 
 
 def brute_rank(scores, mask):
@@ -285,11 +286,13 @@ class TestBatchedEvaluate:
                           iv(0, perm[n_fold:n_fold + n_held])))
         return users, scores
 
-    def assert_matches_oracle(self, users, scores, ks, **kw):
+    def assert_matches_oracle(self, users, scores, ks, scorer=None, **kw):
+        """``scorer`` defaults to one returning the rows of ``scores``."""
         m = scores.shape[1]
         rows = iter(range(len(users)))
-        report = evaluate(users, lambda dense: scores[[next(rows) for _ in dense]],
-                          ks=ks, n_items=m, keep_per_user=True, **kw)
+        if scorer is None:
+            scorer = lambda dense: scores[[next(rows) for _ in dense]]
+        report = evaluate(users, scorer, ks=ks, n_items=m, keep_per_user=True, **kw)
         oracle = {"ndcg": ndcg_at_k, "recall": recall_at_k}
         assert len(report.per_user) == len(users) * len(ks) * 2
         worst = 0.0
@@ -323,6 +326,18 @@ class TestBatchedEvaluate:
         users, _ = self.tie_heavy_case(24, 70, 25)
         scores = np.random.default_rng(25).normal(size=(70, 25))
         self.assert_matches_oracle(users, scores, ks=[3, 10], batch_size=32)
+
+    @pytest.mark.parametrize("hierarchy", ["flat", "two_level"])
+    def test_model_on_csr_matches_oracle_on_dense_batch(self, hierarchy):
+        # evaluate() hands the model CSR fold-in batches; the oracle ranks
+        # scores of the same users from one dense batch.
+        users, _ = self.tie_heavy_case(28, 90, 30)
+        cfg = ModelConfig(n_items=30, prior="vamp", hierarchy=hierarchy,
+                          hidden=8, d_z1=4, d_z2=4, n_pseudo=3)
+        params = init_params(cfg, np.random.default_rng(29))
+        scores = score_items(to_dense_batch([fi for fi, _ in users], 30), params).data
+        self.assert_matches_oracle(users, scores, ks=[1, 5, 20], scorer=params,
+                                   batch_size=32)
 
     def test_scorer_output_left_unchanged(self):
         users, scores = self.tie_heavy_case(26, 30, 12)

@@ -12,6 +12,7 @@ import pytest
 
 from vampcf import autodiff as ad
 from vampcf import model as M
+from vampcf.data import CSRMatrix
 from vampcf.errors import ConfigError, ShapeError
 from vampcf.gridcheck import check_cell, grid_cells, run_grid
 
@@ -595,3 +596,54 @@ class TestFoldIn:
         a = M.score_items(x, params).data
         b = M.score_items(x, params).data
         assert np.array_equal(a, b)
+
+
+class TestSparseInput:
+    """Interaction batches run as CSR; the dense route of a learnable input
+    (the pseudo-inputs' path) is the reference."""
+
+    @pytest.mark.parametrize("hierarchy", ["flat", "two_level"])
+    def test_csr_and_dense_batches_score_bit_for_bit(self, hierarchy):
+        cfg = tiny_cfg(prior="vamp", hierarchy=hierarchy, n_items=30)
+        params = M.init_params(cfg, np.random.default_rng(80))
+        x = random_binary(np.random.default_rng(81), 6, 30)
+        x[3] = 0.0
+        csr = CSRMatrix.from_dense(x)
+        a = M.score_items(csr, params).data
+        b = M.score_items(mat(x), params).data
+        assert np.array_equal(a, b)
+        dense_route = M.score_items(ad.Matrix(x, requires_grad=True), params).data
+        np.testing.assert_allclose(a, dense_route, rtol=0, atol=1e-12)
+
+    def test_prepare_input_scales_and_drops_only_stored_values(self):
+        x = random_binary(np.random.default_rng(82), 5, 12)
+        csr = CSRMatrix.from_dense(x)
+        h = M.prepare_input(csr, mode="train", dropout_rate=0.5,
+                            rng=np.random.default_rng(83))
+        assert np.array_equal(h.indices, csr.indices)
+        assert np.array_equal(h.indptr, csr.indptr)
+        # One uniform per stored value, in storage order.
+        keep = np.random.default_rng(83).random(csr.indices.size) >= 0.5
+        scale = 2.0 / np.sqrt(x.sum(axis=1))[csr.row_ids()]
+        np.testing.assert_allclose(h.data, keep * scale, rtol=1e-15, atol=0)
+        ev = M.prepare_input(csr, mode="eval")
+        np.testing.assert_allclose(
+            ev.toarray(), x / np.linalg.norm(x, axis=1, keepdims=True), rtol=1e-15)
+
+    def test_learnable_dense_input_takes_no_dropout(self):
+        x = ad.Matrix(np.ones((2, 6)), requires_grad=True)
+        with pytest.raises(ConfigError):
+            M.prepare_input(x, mode="train", dropout_rate=0.5,
+                            rng=np.random.default_rng(0))
+        h = M.prepare_input(x, mode="eval")
+        np.testing.assert_allclose(h.data, np.full((2, 6), 1.0 / math.sqrt(6.0)),
+                                   rtol=1e-15)
+
+    def test_init_params_draws_the_same_pseudo_rows_from_csr(self):
+        cfg = tiny_cfg(prior="vamp", n_pseudo=4)
+        x = random_binary(np.random.default_rng(84), 9, 6)
+        a = M.init_params(cfg, np.random.default_rng(85), train_matrix=x)
+        b = M.init_params(cfg, np.random.default_rng(85),
+                          train_matrix=CSRMatrix.from_dense(x))
+        for name, p in a.named_parameters().items():
+            assert np.array_equal(p.data, b.named_parameters()[name].data), name

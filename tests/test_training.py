@@ -1,6 +1,7 @@
 """Trainer oracles: schedule values, optimizer arithmetic, stopping rules,
 determinism, and the single-batch overfit ceiling."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vampcf import autodiff as ad
 from vampcf import training
 from vampcf.autodiff import Matrix, Tape
 from vampcf.checkpoint import load_checkpoint, save_checkpoint
+from vampcf.data import DatasetSplit, InteractionVector
 from vampcf.data import split as make_split
 from vampcf.errors import ConfigError, DataError, NumericalError
 from vampcf.model import (ModelConfig, ElboResult, elbo, init_params,
@@ -240,3 +242,37 @@ class TestSingleBatchOverfit:
         ceiling = log_lik_bernoulli(Matrix(50.0 * (2.0 * x_np - 1.0)), x).data.mean()
         assert abs(ceiling) < 1e-12
         assert recon > -0.01
+
+
+def test_train_holds_no_users_by_items_matrix():
+    # A tall, narrow split: the dense users x items float64 matrix would be
+    # 640 MB. Training reads CSR batches, so what remains is a few
+    # batch x items arrays of the decoder side (about 10 MB each here).
+    n_users, n_items = 4000, 20000
+    rng = np.random.default_rng(0)
+
+    def items(n):
+        return rng.choice(n_items, n, replace=False)
+
+    def fold(u):
+        fold_in, heldout = np.split(items(12), [8])
+        return (InteractionVector(u, np.sort(fold_in)),
+                InteractionVector(u, np.sort(heldout)))
+
+    ds = DatasetSplit(vocab=[str(i) for i in range(n_items)],
+                      train_users=[InteractionVector(u, np.sort(items(20)))
+                                   for u in range(n_users)],
+                      validation_users=[fold(u) for u in range(20)],
+                      test_users=[], seed=0)
+    mc = ModelConfig(n_items=n_items, prior="standard", hierarchy="flat",
+                     gated=False, hidden=8, d_z1=8, d_z2=8)
+    tc = tiny_train_cfg(batch_size=64, max_epochs=1)
+    tracemalloc.start()
+    try:
+        result = train(ds, mc, tc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.epochs_run == 1
+    dense_bytes = n_users * n_items * 8
+    assert peak < dense_bytes / 4, f"peak {peak / 2**20:.0f} MB"
