@@ -1,9 +1,11 @@
 """Dense float64 matrices with tape-based reverse-mode differentiation.
 
-A ``Matrix`` wraps a 2-D C-contiguous float64 numpy array (vectors are
-single-row matrices). Operations executed while a ``Tape`` is active record
-backward closures; ``Tape.backward`` replays them in reverse, accumulating
-into ``Matrix.grad``. With no active tape the same functions are plain
+A ``Matrix`` wraps a 2-D float64 numpy array (vectors are single-row
+matrices). It is C-contiguous, except that the halves from ``split_cols``
+are column views of their source; no operation writes into its operands.
+Operations executed while a ``Tape`` is active record backward closures;
+``Tape.backward`` replays them in reverse, accumulating into
+``Matrix.grad``. With no active tape the same functions are plain
 numpy computations, which is the evaluation fast path.
 
 The one sparse operand is a CSR batch of interaction rows, the left side of
@@ -428,6 +430,30 @@ def concat_cols(a, b):
 
         tape._ops.append(bwd)
     return out
+
+
+def split_cols(a, k):
+    """``(a[:, :k], a[:, k:])``: the inverse of ``concat_cols``. The halves
+    are column views of ``a``, not copies. One backward step writes both
+    halves of a's gradient; a half that received none contributes zeros."""
+    if not 0 < k < a.cols:
+        raise ShapeError(f"split_cols: cannot split {a.shape} at column {k}")
+    left = _wrap(a.data[:, :k])
+    right = _wrap(a.data[:, k:])
+    tape = _ACTIVE
+    if tape is not None and a.requires_grad:
+        left.requires_grad = right.requires_grad = True
+
+        def bwd():
+            if left.grad is None and right.grad is None:
+                return
+            g = np.empty(a.shape)
+            g[:, :k] = 0.0 if left.grad is None else left.grad
+            g[:, k:] = 0.0 if right.grad is None else right.grad
+            _acc(a, g)
+
+        tape._ops.append(bwd)
+    return left, right
 
 
 # ---------------------------------------------------------------------------

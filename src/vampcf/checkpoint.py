@@ -16,7 +16,7 @@ from .errors import DataError
 # attribute to count parameter initialisations, so the name must stay.
 from .model import ModelConfig, empty_params, init_params  # noqa: F401
 
-FORMAT_NAME = "vampcf-checkpoint-v1"
+FORMAT_NAME = "vampcf-checkpoint-v2"
 
 
 def save_checkpoint(path, params, extra=None):
@@ -33,7 +33,8 @@ def save_checkpoint(path, params, extra=None):
     with open(tmp, "wb") as f:
         f.write(line.encode("utf-8") + b"\n")
         for m in named.values():
-            f.write(np.ascontiguousarray(m.data, dtype="<f8").tobytes())
+            # A view of the tensor's own buffer (a copy only on big-endian).
+            f.write(memoryview(np.ascontiguousarray(m.data, dtype="<f8")).cast("B"))
     os.replace(tmp, path)
     return path
 

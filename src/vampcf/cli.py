@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 until complete) so a failed run never leaves a plausible-looking output.
 """
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -14,8 +13,8 @@ import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
-from .data import (CSRMatrix, InteractionVector, ingest, load_split, save_split,
-                   split, vocab_fingerprint)
+from .data import (CSRMatrix, InteractionVector, ingest, load_split, read_vocab,
+                   save_split, split, vocab_fingerprint)
 from .errors import ConfigError, DataError, NumericalError, VampCFError
 from .gridcheck import TOLERANCE, run_grid
 from .metrics import evaluate, ranked_candidates
@@ -137,20 +136,9 @@ def cmd_eval(args):
     return 0
 
 
-def _read_vocab(split_dir):
-    path = os.path.join(split_dir, "vocab.csv")
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            next(reader)  # header
-            return [row[1] for row in reader]
-    except OSError as e:
-        raise DataError(f"cannot read vocabulary {path}: {e}") from e
-
-
 def cmd_recommend(args):
     params, extra = load_checkpoint(args.checkpoint)
-    vocab = _read_vocab(args.data)
+    vocab = read_vocab(args.data)
     fp = vocab_fingerprint(vocab)
     stored = extra.get("vocab_fingerprint")
     if stored is not None and stored != fp:

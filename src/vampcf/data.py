@@ -360,33 +360,56 @@ def save_split(ds, out_dir):
         fh.write("\n")
 
 
+def _csv_rows(path):
+    """(line number, fields) for each data row of a split csv, after its
+    header; an unreadable file is a ``DataError`` naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader, None)  # header
+            for row in reader:
+                yield reader.line_num, row
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"cannot read {path}: {e}") from e
+
+
 def _read_pairs_csv(path, n_items):
     by_user = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for row in reader:
-            item = int(row[1])
-            if not 0 <= item < n_items:
-                raise DataError(
-                    f"{path}: item index {item} out of range for {n_items} items")
-            by_user.setdefault(int(row[0]), []).append(item)
+    for line, row in _csv_rows(path):
+        try:
+            user, item = int(row[0]), int(row[1])
+        except (ValueError, IndexError):
+            raise DataError(f"{path}: line {line}: expected two integers "
+                            f"user_index,item_index, got {row!r}") from None
+        if not 0 <= item < n_items:
+            raise DataError(
+                f"{path}: item index {item} out of range for {n_items} items")
+        by_user.setdefault(user, []).append(item)
     return {u: np.array(sorted(items), dtype=np.int64) for u, items in by_user.items()}
+
+
+def read_vocab(split_dir):
+    """The item ids of a split directory's ``vocab.csv``, in index order."""
+    path = os.path.join(split_dir, "vocab.csv")
+    vocab = []
+    for line, row in _csv_rows(path):
+        if len(row) < 2:
+            raise DataError(f"{path}: line {line}: expected index,item_id, got {row!r}")
+        vocab.append(row[1])
+    return vocab
 
 
 def load_split(split_dir):
     """Reconstruct a DatasetSplit from a directory written by save_split."""
     meta_path = os.path.join(split_dir, "meta.json")
-    if not os.path.exists(meta_path):
-        raise DataError(f"not a split directory (missing meta.json): {split_dir}")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    vocab = []
-    with open(os.path.join(split_dir, "vocab.csv"), newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            vocab.append(row[1])
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"cannot read {meta_path}: {e}") from e
+    if not isinstance(meta, dict) or "seed" not in meta:
+        raise DataError(f"{meta_path}: split metadata has no seed")
+    vocab = read_vocab(split_dir)
 
     n_items = len(vocab)
     train_map = _read_pairs_csv(os.path.join(split_dir, "train.csv"), n_items)

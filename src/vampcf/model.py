@@ -17,7 +17,8 @@ prior is standard or vamp, ``z1`` the lower latent with a learned
 conditional prior. Flat models use ``z2`` alone and ``z1`` aliases it.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -79,25 +80,12 @@ class ModelConfig:
 
 
 @dataclass
-class GatedLayerParams:
-    """One hidden layer: linear path times sigmoid gate, or plain tanh."""
-    W: Matrix
-    b: Matrix
-    V: Matrix | None
-    c: Matrix | None
-    gated: bool
-
-
-@dataclass
 class LinearParams:
+    """One layer's weight and bias. A gated trunk layer holds ``[W|V]`` and
+    ``[b|c]``, a Gaussian head ``[mean|log_var]``: one product, then a
+    column split."""
     W: Matrix
     b: Matrix
-
-
-@dataclass
-class GaussianHead:
-    mean: LinearParams
-    log_var: LinearParams
 
 
 @dataclass
@@ -119,43 +107,37 @@ class LatentSample:
 class ModelParams:
     config: ModelConfig
     encoder_z2: list
-    head_z2: GaussianHead
+    head_z2: LinearParams
     decoder: list
     head_out: LinearParams
     encoder_z1: list | None = None
-    head_z1: GaussianHead | None = None
+    head_z1: LinearParams | None = None
     prior_z1_net: list | None = None
-    prior_z1_head: GaussianHead | None = None
+    prior_z1_head: LinearParams | None = None
     pseudo_inputs: Matrix | None = None
 
     def named_parameters(self):
-        """Deterministically ordered {name: Matrix} over all learnables."""
+        """Deterministically ordered {name: Matrix} over all learnables:
+        ``<layer>.W`` and ``<layer>.b`` per layer, then ``pseudo_inputs``."""
         out = {}
+
+        def add(prefix, lay):
+            out[f"{prefix}.W"] = lay.W
+            out[f"{prefix}.b"] = lay.b
 
         def add_trunk(prefix, layers):
             for i, lay in enumerate(layers):
-                out[f"{prefix}.{i}.W"] = lay.W
-                out[f"{prefix}.{i}.b"] = lay.b
-                if lay.gated:
-                    out[f"{prefix}.{i}.V"] = lay.V
-                    out[f"{prefix}.{i}.c"] = lay.c
-
-        def add_head(prefix, head):
-            for part in ("mean", "log_var"):
-                lin = getattr(head, part)
-                out[f"{prefix}.{part}.W"] = lin.W
-                out[f"{prefix}.{part}.b"] = lin.b
+                add(f"{prefix}.{i}", lay)
 
         add_trunk("encoder_z2", self.encoder_z2)
-        add_head("head_z2", self.head_z2)
+        add("head_z2", self.head_z2)
         if self.config.two_level:
             add_trunk("encoder_z1", self.encoder_z1)
-            add_head("head_z1", self.head_z1)
+            add("head_z1", self.head_z1)
             add_trunk("prior_z1", self.prior_z1_net)
-            add_head("prior_z1_head", self.prior_z1_head)
+            add("prior_z1_head", self.prior_z1_head)
         add_trunk("decoder", self.decoder)
-        out["head_out.W"] = self.head_out.W
-        out["head_out.b"] = self.head_out.b
+        add("head_out", self.head_out)
         if self.config.prior == "vamp":
             out["pseudo_inputs"] = self.pseudo_inputs
         return out
@@ -166,44 +148,21 @@ class ModelParams:
 
     def copy(self):
         """Deep copy of all parameter arrays (gradients are not copied)."""
-        import copy as _copy
-
-        def clone_matrix(m):
-            out = Matrix(m.data.copy(), requires_grad=m.requires_grad)
-            return out
-
-        def clone_trunk(layers):
-            if layers is None:
-                return None
-            return [GatedLayerParams(clone_matrix(l.W), clone_matrix(l.b),
-                                     clone_matrix(l.V) if l.V is not None else None,
-                                     clone_matrix(l.c) if l.c is not None else None,
-                                     l.gated)
-                    for l in layers]
-
-        def clone_head(h):
-            if h is None:
-                return None
-            return GaussianHead(LinearParams(clone_matrix(h.mean.W), clone_matrix(h.mean.b)),
-                                LinearParams(clone_matrix(h.log_var.W), clone_matrix(h.log_var.b)))
-
-        return ModelParams(
-            config=_copy.deepcopy(self.config),
-            encoder_z2=clone_trunk(self.encoder_z2),
-            head_z2=clone_head(self.head_z2),
-            decoder=clone_trunk(self.decoder),
-            head_out=LinearParams(clone_matrix(self.head_out.W), clone_matrix(self.head_out.b)),
-            encoder_z1=clone_trunk(self.encoder_z1),
-            head_z1=clone_head(self.head_z1),
-            prior_z1_net=clone_trunk(self.prior_z1_net),
-            prior_z1_head=clone_head(self.prior_z1_head),
-            pseudo_inputs=clone_matrix(self.pseudo_inputs) if self.pseudo_inputs is not None else None,
-        )
+        dup = empty_params(replace(self.config))
+        src = self.named_parameters()
+        for name, m in dup.named_parameters().items():
+            np.copyto(m.data, src[name].data)
+        return dup
 
 
-def _glorot(rng, fan_in, fan_out):
+def _glorot(rng, fan_in, fan_out, blocks=1):
+    """``blocks`` Glorot-normal fan_in x fan_out draws side by side, drawn
+    one block after another."""
     std = math.sqrt(2.0 / (fan_in + fan_out))
-    return Matrix(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
+    out = np.empty((fan_in, blocks * fan_out))
+    for k in range(blocks):
+        out[:, k * fan_out:(k + 1) * fan_out] = rng.normal(0.0, std, size=(fan_in, fan_out))
+    return Matrix(out, requires_grad=True)
 
 
 def _zeros_row(n):
@@ -214,47 +173,36 @@ def _empty(*shape):
     return Matrix(np.empty(shape), requires_grad=True)
 
 
-def _make_trunk(weight, bias, in_dim, hidden, depth, gated):
-    layers = []
-    d = in_dim
-    for _ in range(depth):
-        W = weight(d, hidden)
-        b = bias(hidden)
-        V = weight(d, hidden) if gated else None
-        c = bias(hidden) if gated else None
-        layers.append(GatedLayerParams(W, b, V, c, gated))
-        d = hidden
-    return layers
-
-
-def _make_head(weight, bias, hidden, out_dim):
-    return GaussianHead(
-        mean=LinearParams(weight(hidden, out_dim), bias(out_dim)),
-        log_var=LinearParams(weight(hidden, out_dim), bias(out_dim)),
-    )
-
-
 def _build_params(cfg, weight, bias):
     """Every parameter but the pseudo-inputs, made by ``weight(fan_in,
-    fan_out)`` and ``bias(n)`` in a fixed order (the order of the random
-    draws in ``init_params``)."""
+    fan_out, blocks)`` (a fan_in x blocks*fan_out weight) and ``bias(n)`` in
+    a fixed order (the order of the random draws in ``init_params``). A
+    gated trunk layer and a Gaussian head have two column blocks."""
+    gate = 2 if cfg.gated else 1
+
+    def trunk(in_dim):
+        layers = []
+        for _ in range(cfg.depth):
+            layers.append(LinearParams(weight(in_dim, cfg.hidden, gate),
+                                       bias(gate * cfg.hidden)))
+            in_dim = cfg.hidden
+        return layers
+
+    def head(out_dim):
+        return LinearParams(weight(cfg.hidden, out_dim, 2), bias(2 * out_dim))
+
     params = ModelParams(
         config=cfg,
-        encoder_z2=_make_trunk(weight, bias, cfg.n_items, cfg.hidden, cfg.depth,
-                               cfg.gated),
-        head_z2=_make_head(weight, bias, cfg.hidden, cfg.d_z2),
-        decoder=_make_trunk(weight, bias,
-                            (cfg.d_z1 + cfg.d_z2) if cfg.two_level else cfg.d_z2,
-                            cfg.hidden, cfg.depth, cfg.gated),
-        head_out=LinearParams(weight(cfg.hidden, cfg.n_items), bias(cfg.n_items)),
+        encoder_z2=trunk(cfg.n_items),
+        head_z2=head(cfg.d_z2),
+        decoder=trunk((cfg.d_z1 + cfg.d_z2) if cfg.two_level else cfg.d_z2),
+        head_out=LinearParams(weight(cfg.hidden, cfg.n_items, 1), bias(cfg.n_items)),
     )
     if cfg.two_level:
-        params.encoder_z1 = _make_trunk(weight, bias, cfg.n_items + cfg.d_z2,
-                                        cfg.hidden, cfg.depth, cfg.gated)
-        params.head_z1 = _make_head(weight, bias, cfg.hidden, cfg.d_z1)
-        params.prior_z1_net = _make_trunk(weight, bias, cfg.d_z2, cfg.hidden,
-                                          cfg.depth, cfg.gated)
-        params.prior_z1_head = _make_head(weight, bias, cfg.hidden, cfg.d_z1)
+        params.encoder_z1 = trunk(cfg.n_items + cfg.d_z2)
+        params.head_z1 = head(cfg.d_z1)
+        params.prior_z1_net = trunk(cfg.d_z2)
+        params.prior_z1_head = head(cfg.d_z1)
     return params
 
 
@@ -266,8 +214,7 @@ def init_params(config, rng, train_matrix=None, pseudo_noise=0.01):
     start as small Gaussian noise.
     """
     cfg = config
-    params = _build_params(cfg, lambda fan_in, fan_out: _glorot(rng, fan_in, fan_out),
-                           _zeros_row)
+    params = _build_params(cfg, partial(_glorot, rng), _zeros_row)
     if cfg.prior == "vamp":
         if train_matrix is not None:
             n = train_matrix.shape[0]
@@ -285,7 +232,8 @@ def init_params(config, rng, train_matrix=None, pseudo_noise=0.01):
 def empty_params(config):
     """Parameters of every shape ``config`` implies, with uninitialised
     storage: for a loader that overwrites every value."""
-    params = _build_params(config, _empty, lambda n: _empty(1, n))
+    params = _build_params(config, lambda rows, cols, blocks: _empty(rows, blocks * cols),
+                           partial(_empty, 1))
     if config.prior == "vamp":
         params.pseudo_inputs = _empty(config.n_pseudo, config.n_items)
     return params
@@ -307,31 +255,32 @@ def _product(x, w, tail):
     return ad.matmul(x, w)
 
 
-def gated_layer(x, p, tail=None):
+def gated_layer(x, p, gated, tail=None):
     """(hW + b) * sigmoid(hV + c) when gated, else tanh(hW + b), for
-    h = [x | tail]; a ``tail`` (dense columns after x's) needs a CSR x."""
+    h = [x | tail]; a ``tail`` (dense columns after x's) needs a CSR x.
+    A gated layer's ``p`` holds ``[W|V]`` and ``[b|c]``: one product, whose
+    columns split into the linear path and the gate."""
     width = x.cols + (0 if tail is None else tail.cols)
     if width != p.W.rows:
         raise ShapeError(f"gated_layer: input width {width} vs weight {p.W.shape}")
-    lin = ad.add(_product(x, p.W, tail), p.b)
-    if not p.gated:
-        return ad.tanh(lin)
-    gate = ad.sigmoid(ad.add(_product(x, p.V, tail), p.c))
-    return ad.mul(lin, gate)
+    pre = ad.add(_product(x, p.W, tail), p.b)
+    if not gated:
+        return ad.tanh(pre)
+    lin, gate = ad.split_cols(pre, p.W.cols // 2)
+    return ad.mul(lin, ad.sigmoid(gate))
 
 
-def _run_trunk(h, layers, tail=None):
+def _run_trunk(h, layers, gated, tail=None):
     for lay in layers:
-        h = gated_layer(h, lay, tail)
+        h = gated_layer(h, lay, gated, tail)
         tail = None
     return h
 
 
-def _run_head(h, head):
-    mean = ad.add(ad.matmul(h, head.mean.W), head.mean.b)
-    log_var = ad.clamp(ad.add(ad.matmul(h, head.log_var.W), head.log_var.b),
-                       LOG_VAR_MIN, LOG_VAR_MAX)
-    return GaussianParams(mean, log_var)
+def _run_head(h, p):
+    """A diagonal Gaussian from one product with ``[mean|log_var]``."""
+    mean, log_var = ad.split_cols(ad.add(ad.matmul(h, p.W), p.b), p.W.cols // 2)
+    return GaussianParams(mean, ad.clamp(log_var, LOG_VAR_MIN, LOG_VAR_MAX))
 
 
 def as_batch(x):
@@ -377,7 +326,8 @@ def encode_z2(x, params, mode="eval", dropout_rate=0.0, rng=None):
 
 
 def _encode_z2_prepared(h, params):
-    return _run_head(_run_trunk(h, params.encoder_z2), params.head_z2)
+    return _run_head(_run_trunk(h, params.encoder_z2, params.config.gated),
+                     params.head_z2)
 
 
 def _encode_z1_prepared(h, z2_value, params):
@@ -385,7 +335,8 @@ def _encode_z1_prepared(h, z2_value, params):
     small GEMM over z2 for CSR input, one concatenated GEMM for dense."""
     if isinstance(h, Matrix):
         h, z2_value = ad.concat_cols(h, z2_value), None
-    return _run_head(_run_trunk(h, params.encoder_z1, z2_value), params.head_z1)
+    return _run_head(_run_trunk(h, params.encoder_z1, params.config.gated, z2_value),
+                     params.head_z1)
 
 
 def encode_z1(x, z2, params, mode="eval", dropout_rate=0.0, rng=None):
@@ -401,7 +352,8 @@ def prior_z1(z2, params):
     if not params.config.two_level:
         raise ConfigError("prior_z1 requires a two_level model")
     z = z2.z if isinstance(z2, LatentSample) else z2
-    return _run_head(_run_trunk(z, params.prior_z1_net), params.prior_z1_head)
+    return _run_head(_run_trunk(z, params.prior_z1_net, params.config.gated),
+                     params.prior_z1_head)
 
 
 def sample(g, rng=None, noise=None):
@@ -430,7 +382,7 @@ def decode(z1, z2, params):
         else params.config.d_z2
     if h.cols != expected:
         raise ConfigError(f"decode: latent width {h.cols}, expected {expected}")
-    h = _run_trunk(h, params.decoder)
+    h = _run_trunk(h, params.decoder, params.config.gated)
     return ad.add(ad.matmul(h, params.head_out.W), params.head_out.b)
 
 

@@ -94,14 +94,23 @@ class OptimizerState:
 
 
 def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Bias-corrected adaptive-moment update over every named parameter."""
-    state.step += 1
-    for name, p in params.named_parameters().items():
+    """Bias-corrected adaptive-moment update over every named parameter.
+
+    Every gradient is checked before any parameter moves: a non-finite one
+    raises ``NumericalError`` with the parameters, moments and step count
+    untouched.
+    """
+    named = params.named_parameters()
+    grads = {}
+    for name, p in named.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
             raise NumericalError(
-                f"non-finite gradient in {name} at optimizer step {state.step}")
-        kernels.adam_update(p.data, g, state.m[name], state.v[name],
+                f"non-finite gradient in {name} at optimizer step {state.step + 1}")
+        grads[name] = g
+    state.step += 1
+    for name, p in named.items():
+        kernels.adam_update(p.data, grads[name], state.m[name], state.v[name],
                             state.step, lr, beta1, beta2, eps)
 
 

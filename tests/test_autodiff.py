@@ -163,6 +163,7 @@ PRIMITIVE_CASES = [
     "matmul", "add", "add_bias", "sub", "mul", "scale", "sigmoid", "tanh",
     "exp", "log", "softplus", "logsumexp", "softmax_log", "sum_rows",
     "clamp", "concat_cols", "transpose", "l2_normalize_rows",
+    "split_cols", "split_cols_left_only", "split_cols_right_only",
 ]
 
 
@@ -235,10 +236,37 @@ def test_primitive_gradients_at_100_random_points(name):
         elif name == "l2_normalize_rows":
             f = lambda: ad.sum_all(ad.mul(ad.l2_normalize_rows(x), probe))
             params = [x]
+        elif name == "split_cols":
+            def f():
+                left, right = ad.split_cols(x, 1)
+                return ad.add(ad.sum_all(ad.mul(left, ad.constant(probe.data[:, :1]))),
+                              ad.sum_all(ad.mul(ad.tanh(right),
+                                                ad.constant(probe.data[:, 1:]))))
+            params = [x]
+        elif name in ("split_cols_left_only", "split_cols_right_only"):
+            # The other half is never used, so its gradient stays None.
+            side = 0 if name == "split_cols_left_only" else 1
+            f = lambda: ad.sum_all(ad.tanh(ad.split_cols(x, 2)[side]))
+            params = [x]
         else:
             raise AssertionError(name)
 
         assert grad_check(f, params, eps=1e-5) < 1e-6, name
+
+
+def test_split_cols_inverts_concat_cols():
+    x = Matrix(np.arange(12.0).reshape(3, 4))
+    left, right = ad.split_cols(x, 3)
+    np.testing.assert_array_equal(left.data, x.data[:, :3])
+    np.testing.assert_array_equal(right.data, x.data[:, 3:])
+    assert np.shares_memory(left.data, x.data) and np.shares_memory(right.data, x.data)
+    np.testing.assert_array_equal(ad.concat_cols(left, right).data, x.data)
+
+
+@pytest.mark.parametrize("k", [0, 4, -1])
+def test_split_cols_needs_two_nonempty_halves(k):
+    with pytest.raises(ShapeError):
+        ad.split_cols(Matrix(np.zeros((2, 4))), k)
 
 
 def test_clamp_gradient_zero_outside_range():

@@ -101,6 +101,17 @@ def test_unknown_format_rejected(tmp_path):
     assert_rejected(path, "unknown checkpoint format")
 
 
+def test_v1_format_rejected_by_name(tmp_path):
+    """Format 1 stored W/V and mean/log_var as separate tensors; no such
+    file can be read as the fused layout."""
+    path, header, payload = saved_parts(tmp_path)
+    assert header["format"] == "vampcf-checkpoint-v2"
+    header["format"] = "vampcf-checkpoint-v1"
+    rewrite(path, header, payload)
+    with pytest.raises(DataError, match="vampcf-checkpoint-v1"):
+        load_checkpoint(path)
+
+
 def test_header_without_manifest_rejected(tmp_path):
     path, header, payload = saved_parts(tmp_path)
     del header["tensors"]

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: prepare -> train -> eval -> recommend,
 plus exit-code mapping and override handling."""
+import ast
 import json
 import os
 import shutil
@@ -232,6 +233,17 @@ class TestEval:
                      "--data", split_dir])
         assert code == 2
 
+    def test_split_without_vocab_exits_2(self, trained_run, split_dir, tmp_path,
+                                         capsys):
+        broken = tmp_path / "s"
+        shutil.copytree(split_dir, broken)
+        (broken / "vocab.csv").unlink()
+        code = main(["eval", "--checkpoint",
+                     os.path.join(trained_run, "model.ckpt"),
+                     "--data", str(broken), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "vocab.csv" in capsys.readouterr().err
+
 
 class TestRecommend:
     def run(self, trained_run, split_dir, items, top_n=5, extra=()):
@@ -351,3 +363,13 @@ class TestEntryPoints:
     def test_unknown_command_exits_1(self, capsys):
         assert main(["transmogrify"]) == 1
         assert "invalid choice" in capsys.readouterr().err
+
+
+def test_package_source_has_no_assert_statements():
+    """Runtime checks raise real errors: `python -O` strips `assert`."""
+    found = []
+    for path in sorted(Path(vampcf.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in src/vampcf: {found}"

@@ -314,6 +314,46 @@ class TestSplitArtifact:
         with pytest.raises(DataError, match=f"{name}: item index {index} out of range"):
             load_split(str(out))
 
+    @staticmethod
+    def saved_split(tmp_path):
+        out = tmp_path / "s"
+        save_split(split(unique_histories(40), n_heldout_users=5, seed=12), str(out))
+        return out
+
+    @pytest.mark.parametrize("name", ["meta.json", "vocab.csv", "train.csv", "test_te.csv"])
+    def test_missing_file_rejected(self, tmp_path, name):
+        out = self.saved_split(tmp_path)
+        (out / name).unlink()
+        with pytest.raises(DataError, match=f"cannot read .*{name}"):
+            load_split(str(out))
+
+    @pytest.mark.parametrize("name", ["train.csv", "validation_te.csv"])
+    @pytest.mark.parametrize("row", ["7,x", "u,3", "7", "7,2.5"])
+    def test_malformed_pairs_row_rejected(self, tmp_path, name, row):
+        out = self.saved_split(tmp_path)
+        path = out / name
+        lines = path.read_text().splitlines()
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"{name}: line 3: expected two integers"):
+            load_split(str(out))
+
+    def test_short_vocab_row_rejected(self, tmp_path):
+        out = self.saved_split(tmp_path)
+        path = out / "vocab.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = "0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="vocab.csv: line 2: expected index,item_id"):
+            load_split(str(out))
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"n_items": 3}'])
+    def test_malformed_meta_rejected(self, tmp_path, text):
+        out = self.saved_split(tmp_path)
+        (out / "meta.json").write_text(text)
+        with pytest.raises(DataError, match="meta.json"):
+            load_split(str(out))
+
     def test_meta_records_parameters_and_fingerprint(self, tmp_path):
         data = unique_histories(40)
         ds = split(data, n_heldout_users=5, seed=13)

@@ -73,9 +73,24 @@ class TestModelConfig:
         assert list(a.named_parameters()) == list(b.named_parameters())
 
     def test_ungated_has_no_gate_parameters(self):
-        params = M.init_params(tiny_cfg(gated=False), np.random.default_rng(0))
+        cfg = tiny_cfg(gated=False)
+        params = M.init_params(cfg, np.random.default_rng(0))
         names = params.named_parameters()
         assert not any(n.endswith((".V", ".c")) for n in names)
+        assert names["encoder_z2.0.W"].shape == (cfg.n_items, cfg.hidden)
+        assert names["decoder.0.b"].shape == (1, cfg.hidden)
+
+    def test_gated_layers_and_heads_hold_two_column_blocks(self):
+        cfg = tiny_cfg(prior="vamp", hierarchy="two_level")
+        names = M.init_params(cfg, np.random.default_rng(0)).named_parameters()
+        h, d1, d2 = cfg.hidden, cfg.d_z1, cfg.d_z2
+        assert names["encoder_z2.0.W"].shape == (cfg.n_items, 2 * h)
+        assert names["encoder_z1.0.W"].shape == (cfg.n_items + d2, 2 * h)
+        assert names["encoder_z1.0.b"].shape == (1, 2 * h)
+        assert names["head_z2.W"].shape == (h, 2 * d2)
+        assert names["head_z1.b"].shape == (1, 2 * d1)
+        assert names["head_out.W"].shape == (h, cfg.n_items)
+        assert all(n == "pseudo_inputs" or n.endswith((".W", ".b")) for n in names)
 
     def test_standard_prior_has_no_pseudo_inputs(self):
         params = M.init_params(tiny_cfg(prior="standard"), np.random.default_rng(0))
@@ -88,53 +103,101 @@ class TestModelConfig:
         dup.head_out.W.data[:] = 99.0
         assert not np.allclose(params.head_out.W.data, 99.0)
 
+    @pytest.mark.parametrize("hierarchy", ["flat", "two_level"])
+    def test_copy_shares_no_array_and_keeps_names_and_shapes(self, hierarchy):
+        params = M.init_params(tiny_cfg(prior="vamp", hierarchy=hierarchy),
+                               np.random.default_rng(0))
+        src = params.named_parameters()
+        dup = params.copy().named_parameters()
+        assert list(dup) == list(src)
+        for name, m in dup.items():
+            assert m.shape == src[name].shape, name
+            assert np.array_equal(m.data, src[name].data), name
+            assert m.requires_grad, name
+            for other in src.values():
+                assert not np.shares_memory(m.data, other.data), name
+
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_fused_init_blocks_are_consecutive_glorot_draws(self, gated):
+        """Each column block is the Glorot draw the separate W/V (or
+        mean/log_var) tensors took, in the same order."""
+        cfg = tiny_cfg(prior="vamp", hierarchy="two_level", gated=gated,
+                       n_items=7, hidden=5, d_z1=3, d_z2=4)
+        params = M.init_params(cfg, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        gate = 2 if gated else 1
+
+        def draws(fan_in, fan_out, blocks):
+            std = math.sqrt(2.0 / (fan_in + fan_out))
+            return [rng.normal(0.0, std, size=(fan_in, fan_out)) for _ in range(blocks)]
+
+        h = cfg.hidden
+        expected = [
+            ("encoder_z2.0.W", draws(cfg.n_items, h, gate)),
+            ("head_z2.W", draws(h, cfg.d_z2, 2)),
+            ("decoder.0.W", draws(cfg.d_z1 + cfg.d_z2, h, gate)),
+            ("head_out.W", draws(h, cfg.n_items, 1)),
+            ("encoder_z1.0.W", draws(cfg.n_items + cfg.d_z2, h, gate)),
+            ("head_z1.W", draws(h, cfg.d_z1, 2)),
+            ("prior_z1.0.W", draws(cfg.d_z2, h, gate)),
+            ("prior_z1_head.W", draws(h, cfg.d_z1, 2)),
+        ]
+        named = params.named_parameters()
+        for name, blocks in expected:
+            width = blocks[0].shape[1]
+            for k, block in enumerate(blocks):
+                got = named[name].data[:, k * width:(k + 1) * width]
+                assert np.array_equal(got, block), (name, k)
+        for name, m in named.items():
+            if name.endswith(".b"):
+                assert not m.data.any(), name
+
+
+def gated_params(W, V, b, c):
+    """A gated layer's fused ``[W|V]`` weight and ``[b|c]`` bias."""
+    return M.LinearParams(W=mat(np.hstack([W, V])), b=mat(np.hstack([b, c])))
+
 
 class TestGatedLayer:
     def test_scalar_half_gate(self):
-        p = M.GatedLayerParams(W=mat([[1.0]]), b=mat([[0.0]]),
-                               V=mat([[0.0]]), c=mat([[0.0]]), gated=True)
-        out = M.gated_layer(mat([[1.0]]), p)
+        p = gated_params([[1.0]], [[0.0]], [[0.0]], [[0.0]])
+        out = M.gated_layer(mat([[1.0]]), p, True)
         assert out.data == pytest.approx(0.5, abs=1e-15)
 
     def test_saturated_gate_is_linear_path(self):
         rng = np.random.default_rng(3)
         x = mat(rng.normal(size=(4, 5)))
-        W, b = mat(rng.normal(size=(5, 7))), mat(rng.normal(size=(1, 7)))
-        p = M.GatedLayerParams(W=W, b=b, V=mat(np.zeros((5, 7))),
-                               c=mat(np.full((1, 7), 50.0)), gated=True)
-        linear = x.data @ W.data + b.data
-        assert np.max(np.abs(M.gated_layer(x, p).data - linear)) < 1e-8
+        W, b = rng.normal(size=(5, 7)), rng.normal(size=(1, 7))
+        p = gated_params(W, np.zeros((5, 7)), b, np.full((1, 7), 50.0))
+        linear = x.data @ W + b
+        assert np.max(np.abs(M.gated_layer(x, p, True).data - linear)) < 1e-8
 
     def test_suppressed_gate_kills_output(self):
         rng = np.random.default_rng(4)
         x = mat(rng.normal(size=(4, 5)))
-        W, b = mat(rng.normal(size=(5, 7))), mat(rng.normal(size=(1, 7)))
-        p = M.GatedLayerParams(W=W, b=b, V=mat(np.zeros((5, 7))),
-                               c=mat(np.full((1, 7), -50.0)), gated=True)
-        linear = np.abs(x.data @ W.data + b.data)
-        assert np.all(np.abs(M.gated_layer(x, p).data) <= 1e-8 * linear)
+        W, b = rng.normal(size=(5, 7)), rng.normal(size=(1, 7))
+        p = gated_params(W, np.zeros((5, 7)), b, np.full((1, 7), -50.0))
+        linear = np.abs(x.data @ W + b)
+        assert np.all(np.abs(M.gated_layer(x, p, True).data) <= 1e-8 * linear)
 
     def test_zero_input_gives_gated_bias(self):
         rng = np.random.default_rng(5)
         b, c = rng.normal(size=(1, 7)), rng.normal(size=(1, 7))
-        p = M.GatedLayerParams(W=mat(rng.normal(size=(5, 7))), b=mat(b),
-                               V=mat(rng.normal(size=(5, 7))), c=mat(c), gated=True)
-        out = M.gated_layer(mat(np.zeros((1, 5))), p)
+        p = gated_params(rng.normal(size=(5, 7)), rng.normal(size=(5, 7)), b, c)
+        out = M.gated_layer(mat(np.zeros((1, 5))), p, True)
         expected = b / (1.0 + np.exp(-c))
         assert np.allclose(out.data, expected, atol=1e-14)
 
     def test_ungated_is_tanh(self):
         rng = np.random.default_rng(6)
         x, W, b = rng.normal(size=(3, 5)), rng.normal(size=(5, 7)), rng.normal(size=(1, 7))
-        p = M.GatedLayerParams(W=mat(W), b=mat(b), V=None, c=None, gated=False)
-        assert np.allclose(M.gated_layer(mat(x), p).data, np.tanh(x @ W + b))
+        p = M.LinearParams(W=mat(W), b=mat(b))
+        assert np.allclose(M.gated_layer(mat(x), p, False).data, np.tanh(x @ W + b))
 
     def test_shape_mismatch_rejected(self):
-        p = M.GatedLayerParams(W=mat(np.zeros((5, 7))), b=mat(np.zeros((1, 7))),
-                               V=mat(np.zeros((5, 7))), c=mat(np.zeros((1, 7))),
-                               gated=True)
+        p = gated_params(np.zeros((5, 7)), np.zeros((5, 7)), np.zeros((1, 7)), np.zeros((1, 7)))
         with pytest.raises(ShapeError):
-            M.gated_layer(mat(np.zeros((1, 4))), p)
+            M.gated_layer(mat(np.zeros((1, 4))), p, True)
 
 
 class TestEncoders:

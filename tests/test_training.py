@@ -120,6 +120,27 @@ class TestAdam:
         assert "head_out.W" in str(err.value)
         assert "step 1" in str(err.value)
 
+    def test_nonfinite_gradient_leaves_every_tensor_untouched(self):
+        """The bad gradient is in the last tensor: none before it moves."""
+        params = init_params(tiny_model_cfg(), np.random.default_rng(3))
+        state = OptimizerState.for_params(params)
+        named = params.named_parameters()
+        for p in named.values():
+            p.grad = np.ones_like(p.data)
+        adam_step(params, state, lr=1e-3)
+        before = {n: p.data.copy() for n, p in named.items()}
+        m_before = {n: a.copy() for n, a in state.m.items()}
+        v_before = {n: a.copy() for n, a in state.v.items()}
+        last = list(named)[-1]
+        named[last].grad = np.full_like(named[last].data, np.nan)
+        with pytest.raises(NumericalError, match=f"{last}.*step 2"):
+            adam_step(params, state, lr=1e-3)
+        assert state.step == 1
+        for n, p in named.items():
+            assert np.array_equal(p.data, before[n]), n
+            assert np.array_equal(state.m[n], m_before[n]), n
+            assert np.array_equal(state.v[n], v_before[n]), n
+
 
 class TestTrainLoop:
     def test_log_has_one_record_per_epoch(self):
