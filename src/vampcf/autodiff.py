@@ -3,10 +3,18 @@
 A ``Matrix`` wraps a 2-D float64 numpy array (vectors are single-row
 matrices). It is C-contiguous, except that the halves from ``split_cols``
 are column views of their source; no operation writes into its operands.
-Operations executed while a ``Tape`` is active record backward closures;
-``Tape.backward`` replays them in reverse, accumulating into
-``Matrix.grad``. With no active tape the same functions are plain
-numpy computations, which is the evaluation fast path.
+With no active ``Tape`` every primitive is a plain numpy computation, which
+is the evaluation fast path. ``Tape.backward`` replays the recorded steps in
+reverse, accumulating into ``Matrix.grad``.
+
+Every primitive records itself by one rule, in ``_op``: when a tape is
+active and at least one operand requires a gradient, the result requires
+one too and the tape gains one backward step. That step does nothing if no
+gradient reached the result; otherwise it maps the result's gradient to
+each operand that requires one and accumulates it there, in argument order.
+A new primitive is therefore its forward expression plus one ``_op`` call
+that pairs each operand with its gradient map. ``split_cols``, the one
+primitive with two results, records its step by hand.
 
 The one sparse operand is a CSR batch of interaction rows, the left side of
 ``sparse_matmul``; it is a constant.
@@ -91,37 +99,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, requires_grad={self.requires_grad})"
 
-    # Operator sugar, all delegating to the module-level primitives.
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        if isinstance(other, Matrix):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    def __radd__(self, other):
-        return add_scalar(self, float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, Matrix):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def _wrap(arr):
     m = object.__new__(Matrix)
@@ -133,6 +110,31 @@ def _wrap(arr):
 
 def _acc(m, g):
     m.grad = g if m.grad is None else m.grad + g
+
+
+def _op(data, *inputs):
+    """Wrap ``data`` as a primitive's result and record its backward step.
+
+    Each input is an ``(operand, grad_fn)`` pair, where ``grad_fn`` maps the
+    result's gradient to that operand's. Nothing is recorded unless a tape
+    is active and some operand requires a gradient.
+    """
+    out = _wrap(data)
+    tape = _ACTIVE
+    if tape is None:
+        return out
+    live = [(m, fn) for m, fn in inputs if m.requires_grad]
+    if live:
+        out.requires_grad = True
+
+        def bwd():
+            g = out.grad
+            if g is not None:
+                for m, fn in live:
+                    _acc(m, fn(g))
+
+        tape._ops.append(bwd)
+    return out
 
 
 def constant(data):
@@ -147,22 +149,8 @@ def constant(data):
 def matmul(a, b):
     if a.cols != b.rows:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-    out = _wrap(a.data @ b.data)
-    tape = _ACTIVE
-    if tape is not None and (a.requires_grad or b.requires_grad):
-        out.requires_grad = True
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _acc(a, g @ b.data.T)
-            if b.requires_grad:
-                _acc(b, a.data.T @ g)
-
-        tape._ops.append(bwd)
-    return out
+    return _op(a.data @ b.data,
+               (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def sparse_matmul(x, w, tail=None):
@@ -185,202 +173,103 @@ def sparse_matmul(x, w, tail=None):
     for r in range(n):
         lo, hi = ptr[r], ptr[r + 1]
         np.dot(vals[lo:hi], wd.take(idx[lo:hi], axis=0), out=out_data[r])
+
+    def w_grad(g):
+        gw = np.empty(w.shape)
+        np.matmul(x.toarray().T, g, out=gw[:m])
+        if tail is not None:
+            np.matmul(tail.data.T, g, out=gw[m:])
+        return gw
+
+    inputs = [(w, w_grad)]
     if tail is not None:
         out_data += tail.data @ wd[m:]
-    out = _wrap(out_data)
-    tape = _ACTIVE
-    if tape is not None and (w.requires_grad or (tail is not None and tail.requires_grad)):
-        out.requires_grad = True
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if w.requires_grad:
-                gw = np.empty(w.shape)
-                np.matmul(x.toarray().T, g, out=gw[:m])
-                if tail is not None:
-                    np.matmul(tail.data.T, g, out=gw[m:])
-                _acc(w, gw)
-            if tail is not None and tail.requires_grad:
-                _acc(tail, g @ wd[m:].T)
-
-        tape._ops.append(bwd)
-    return out
+        inputs.append((tail, lambda g: g @ wd[m:].T))
+    return _op(out_data, *inputs)
 
 
 def transpose(a):
-    out = _wrap(np.ascontiguousarray(a.data.T))
-    tape = _ACTIVE
-    if tape is not None and a.requires_grad:
-        out.requires_grad = True
-
-        def bwd():
-            if out.grad is not None:
-                _acc(a, np.ascontiguousarray(out.grad.T))
-
-        tape._ops.append(bwd)
-    return out
+    return _op(np.ascontiguousarray(a.data.T),
+               (a, lambda g: np.ascontiguousarray(g.T)))
 
 
-def _broadcast_ok(a, b):
-    return b.rows == 1 and b.cols == a.cols and a.rows >= 1
+def _bias_grad(name, a, b):
+    """The gradient map for ``b`` in an elementwise op with ``a``: the
+    identity when the shapes match, a sum over rows when ``b`` is a
+    single-row bias broadcast across a's rows."""
+    if a.shape == b.shape:
+        return lambda g: g
+    if b.rows == 1 and b.cols == a.cols and a.rows >= 1:
+        return lambda g: g.sum(axis=0, keepdims=True)
+    raise ShapeError(f"{name}: {a.shape} with {b.shape}")
 
 
 def add(a, b):
     """Elementwise sum; ``b`` may be a single-row bias broadcast over rows."""
-    if a.shape == b.shape:
-        broadcast = False
-    elif _broadcast_ok(a, b):
-        broadcast = True
-    else:
-        raise ShapeError(f"add: {a.shape} + {b.shape}")
-    out = _wrap(a.data + b.data)
-    tape = _ACTIVE
-    if tape is not None and (a.requires_grad or b.requires_grad):
-        out.requires_grad = True
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _acc(a, g)
-            if b.requires_grad:
-                _acc(b, g.sum(axis=0, keepdims=True) if broadcast else g)
-
-        tape._ops.append(bwd)
-    return out
+    b_grad = _bias_grad("add", a, b)
+    return _op(a.data + b.data, (a, lambda g: g), (b, b_grad))
 
 
 def sub(a, b):
     """Elementwise difference; ``b`` may be a single-row broadcast."""
-    if a.shape == b.shape:
-        broadcast = False
-    elif _broadcast_ok(a, b):
-        broadcast = True
-    else:
-        raise ShapeError(f"sub: {a.shape} - {b.shape}")
-    out = _wrap(a.data - b.data)
-    tape = _ACTIVE
-    if tape is not None and (a.requires_grad or b.requires_grad):
-        out.requires_grad = True
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _acc(a, g)
-            if b.requires_grad:
-                _acc(b, -(g.sum(axis=0, keepdims=True) if broadcast else g))
-
-        tape._ops.append(bwd)
-    return out
+    b_grad = _bias_grad("sub", a, b)
+    return _op(a.data - b.data, (a, lambda g: g), (b, lambda g: -b_grad(g)))
 
 
 def mul(a, b):
     """Elementwise (Hadamard) product of same-shape matrices."""
     if a.shape != b.shape:
         raise ShapeError(f"mul: {a.shape} * {b.shape}")
-    out = _wrap(a.data * b.data)
-    tape = _ACTIVE
-    if tape is not None and (a.requires_grad or b.requires_grad):
-        out.requires_grad = True
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _acc(a, g * b.data)
-            if b.requires_grad:
-                _acc(b, g * a.data)
-
-        tape._ops.append(bwd)
-    return out
+    return _op(a.data * b.data,
+               (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def scale(a, c):
-    out = _wrap(a.data * c)
-    tape = _ACTIVE
-    if tape is not None and a.requires_grad:
-        out.requires_grad = True
-
-        def bwd():
-            if out.grad is not None:
-                _acc(a, out.grad * c)
-
-        tape._ops.append(bwd)
-    return out
+    return _op(a.data * c, (a, lambda g: g * c))
 
 
 def add_scalar(a, c):
-    out = _wrap(a.data + c)
-    tape = _ACTIVE
-    if tape is not None and a.requires_grad:
-        out.requires_grad = True
-
-        def bwd():
-            if out.grad is not None:
-                _acc(a, out.grad)
-
-        tape._ops.append(bwd)
-    return out
-
-
-def _unary(a, out_data, grad_fn):
-    out = _wrap(out_data)
-    tape = _ACTIVE
-    if tape is not None and a.requires_grad:
-        out.requires_grad = True
-
-        def bwd():
-            if out.grad is not None:
-                _acc(a, grad_fn(out.grad))
-
-        tape._ops.append(bwd)
-    return out
+    return _op(a.data + c, (a, lambda g: g))
 
 
 def sigmoid(a):
     y = K.sigmoid(a.data)
-    return _unary(a, y, lambda g: K.sigmoid_bwd(y, g))
+    return _op(y, (a, lambda g: K.sigmoid_bwd(y, g)))
 
 
 def tanh(a):
     y = np.tanh(a.data)
-    return _unary(a, y, lambda g: K.tanh_bwd(y, g))
+    return _op(y, (a, lambda g: K.tanh_bwd(y, g)))
 
 
 def exp(a):
     y = np.exp(a.data)
-    return _unary(a, y, lambda g: g * y)
+    return _op(y, (a, lambda g: g * y))
 
 
 def log(a):
-    return _unary(a, np.log(a.data), lambda g: g / a.data)
+    return _op(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def softplus(a):
-    return _unary(a, K.softplus(a.data), lambda g: K.softplus_bwd(a.data, g))
+    return _op(K.softplus(a.data), (a, lambda g: K.softplus_bwd(a.data, g)))
 
 
 def clamp(a, lo, hi):
     """Clip into [lo, hi]; gradient passes through strictly inside the range."""
     inside = (a.data > lo) & (a.data < hi)
-    return _unary(a, np.clip(a.data, lo, hi), lambda g: g * inside)
+    return _op(np.clip(a.data, lo, hi), (a, lambda g: g * inside))
 
 
 def sum_all(a):
-    return _unary(a, a.data.sum().reshape(1, 1),
-                  lambda g: np.broadcast_to(g, a.shape))
+    return _op(a.data.sum().reshape(1, 1),
+               (a, lambda g: np.broadcast_to(g, a.shape)))
 
 
 def sum_rows(a):
     """Sum over columns, giving an (n, 1) column of per-row totals."""
-    return _unary(a, a.data.sum(axis=1, keepdims=True),
-                  lambda g: np.broadcast_to(g, a.shape))
+    return _op(a.data.sum(axis=1, keepdims=True),
+               (a, lambda g: np.broadcast_to(g, a.shape)))
 
 
 def mean_all(a):
@@ -395,41 +284,28 @@ def logsumexp(a):
     if a.cols == 0:
         raise ShapeError("logsumexp of an empty vector")
     y = K.logsumexp_rows(a.data)
-    return _unary(a, y, lambda g: K.logsumexp_rows_bwd(a.data, y, g))
+    return _op(y, (a, lambda g: K.logsumexp_rows_bwd(a.data, y, g)))
 
 
 def softmax_log(a):
     """Row-wise log of softmax(a); exp of each output row sums to 1."""
     y = K.log_softmax_rows(a.data)
-    return _unary(a, y, lambda g: K.log_softmax_rows_bwd(y, g))
+    return _op(y, (a, lambda g: K.log_softmax_rows_bwd(y, g)))
 
 
 def l2_normalize_rows(a):
     """Scale each row to unit L2 norm; all-zero rows pass through unchanged."""
     y, inv = K.l2_normalize_rows(a.data)
-    return _unary(a, y, lambda g: K.l2_normalize_rows_bwd(y, inv, g))
+    return _op(y, (a, lambda g: K.l2_normalize_rows_bwd(y, inv, g)))
 
 
 def concat_cols(a, b):
     if a.rows != b.rows:
         raise ShapeError(f"concat_cols: {a.shape} | {b.shape}")
-    out = _wrap(np.concatenate([a.data, b.data], axis=1))
-    tape = _ACTIVE
-    if tape is not None and (a.requires_grad or b.requires_grad):
-        out.requires_grad = True
-        split = a.cols
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _acc(a, np.ascontiguousarray(g[:, :split]))
-            if b.requires_grad:
-                _acc(b, np.ascontiguousarray(g[:, split:]))
-
-        tape._ops.append(bwd)
-    return out
+    k = a.cols
+    return _op(np.concatenate([a.data, b.data], axis=1),
+               (a, lambda g: np.ascontiguousarray(g[:, :k])),
+               (b, lambda g: np.ascontiguousarray(g[:, k:])))
 
 
 def split_cols(a, k):

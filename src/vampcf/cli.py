@@ -105,7 +105,19 @@ def cmd_train(args):
     return 0
 
 
+def _parse_ks(text):
+    ks = []
+    for k in map(str.strip, text.split(",")):
+        if k:
+            try:
+                ks.append(int(k))
+            except ValueError:
+                raise ConfigError(f"--ks: K {k!r} is not an integer") from None
+    return ks
+
+
 def cmd_eval(args):
+    ks = _parse_ks(args.ks)
     params, extra = load_checkpoint(args.checkpoint)
     cfg = load_config(args.config, args.set) if args.config or args.set \
         else None
@@ -120,7 +132,6 @@ def cmd_eval(args):
             f"vocabulary mismatch: checkpoint was trained against {stored}, "
             f"split directory has {fp}")
     users = ds.test_users if args.split == "test" else ds.validation_users
-    ks = [int(k) for k in args.ks.split(",") if k.strip()]
     report = evaluate(users, params, ks=ks,
                       fingerprint=f"{fp}:{_config_fingerprint(params.config)}",
                       keep_per_user=bool(args.csv))
@@ -137,6 +148,8 @@ def cmd_eval(args):
 
 
 def cmd_recommend(args):
+    if args.top_n < 1:
+        raise ConfigError(f"--top-n must be at least 1, got {args.top_n}")
     params, extra = load_checkpoint(args.checkpoint)
     vocab = read_vocab(args.data)
     fp = vocab_fingerprint(vocab)

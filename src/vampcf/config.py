@@ -1,7 +1,7 @@
 """Run configuration: sectioned key=value files plus --set overrides.
 
 Three sections: [model] (architecture grid), [train] (optimizer and
-schedule), [data] (paths and split parameters). Every key is typed and
+schedule), [data] (the split directory). Every key is typed and
 validated before any command does work; unknown sections or keys are
 rejected outright so typos cannot silently fall back to defaults.
 """
@@ -72,12 +72,7 @@ TRAIN_KEYS = {
 }
 
 DATA_KEYS = {
-    "ratings": (_opt_str, None),
     "split_dir": (_opt_str, None),
-    "min_rating": (_float, 4.0),
-    "min_items": (_int, 5),
-    "fold_in_fraction": (_float, 0.8),
-    "n_heldout_users": (_auto_int, None),
 }
 
 SECTIONS = {"model": MODEL_KEYS, "train": TRAIN_KEYS, "data": DATA_KEYS}

@@ -525,17 +525,12 @@ def elbo(x, params, beta, rng=None, mode="eval", dropout_rate=0.0, noise=None):
     if cfg.two_level:
         g1 = _encode_z1_prepared(h, z2.z, params)
         z1 = sample(g1, rng, noise.get("z1"))
-        p1 = prior_z1(z2, params)
-        kl1 = kl_diag_gauss(g1, p1)
-        kl2 = ad.sub(gauss_log_density(z2.z, g2), vamp_log_density(z2.z, params))
-        logits = decode(z1, z2, params)
+        kl1 = kl_diag_gauss(g1, prior_z1(z2, params))
     else:
-        kl1 = ad.constant(np.zeros((n, 1)))
-        if cfg.prior == "standard":
-            kl2 = kl_to_standard_normal(g2)
-        else:
-            kl2 = ad.sub(gauss_log_density(z2.z, g2), vamp_log_density(z2.z, params))
-        logits = decode(z2, None, params)
+        z1, kl1 = z2, ad.constant(np.zeros((n, 1)))
+    kl2 = (kl_to_standard_normal(g2) if cfg.prior == "standard" else
+           ad.sub(gauss_log_density(z2.z, g2), vamp_log_density(z2.z, params)))
+    logits = decode(z1, z2, params)
 
     recon = log_likelihood(logits, x, cfg.likelihood)
     penalty = ad.add(kl1, kl2)

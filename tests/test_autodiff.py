@@ -1,4 +1,5 @@
 """Tests for the dense matrix type, the gradient tape, and grad_check."""
+import inspect
 import math
 
 import numpy as np
@@ -252,6 +253,66 @@ def test_primitive_gradients_at_100_random_points(name):
             raise AssertionError(name)
 
         assert grad_check(f, params, eps=1e-5) < 1e-6, name
+
+
+def _csr_2x3():
+    return _random_csr(np.random.default_rng(0), 2, 3)[0]
+
+
+# name -> (primitive applied to its Matrix operands, operand shapes)
+RECORDING_CASES = {
+    "matmul": (ad.matmul, [(2, 3), (3, 2)]),
+    "sparse_matmul": (lambda w: ad.sparse_matmul(_csr_2x3(), w), [(3, 2)]),
+    "sparse_matmul_tail": (lambda w, t: ad.sparse_matmul(_csr_2x3(), w, t),
+                           [(5, 2), (2, 2)]),
+    "transpose": (ad.transpose, [(2, 3)]),
+    "add": (ad.add, [(2, 3), (2, 3)]),
+    "add_bias": (ad.add, [(2, 3), (1, 3)]),
+    "sub": (ad.sub, [(2, 3), (2, 3)]),
+    "sub_bias": (ad.sub, [(2, 3), (1, 3)]),
+    "mul": (ad.mul, [(2, 3), (2, 3)]),
+    "scale": (lambda a: ad.scale(a, -1.5), [(2, 3)]),
+    "add_scalar": (lambda a: ad.add_scalar(a, 0.5), [(2, 3)]),
+    "sigmoid": (ad.sigmoid, [(2, 3)]),
+    "tanh": (ad.tanh, [(2, 3)]),
+    "exp": (ad.exp, [(2, 3)]),
+    "log": (ad.log, [(2, 3)]),
+    "softplus": (ad.softplus, [(2, 3)]),
+    "clamp": (lambda a: ad.clamp(a, 0.3, 0.7), [(2, 3)]),
+    "sum_all": (ad.sum_all, [(2, 3)]),
+    "sum_rows": (ad.sum_rows, [(2, 3)]),
+    "mean_all": (ad.mean_all, [(2, 3)]),
+    "logsumexp": (ad.logsumexp, [(2, 3)]),
+    "softmax_log": (ad.softmax_log, [(2, 3)]),
+    "l2_normalize_rows": (ad.l2_normalize_rows, [(2, 3)]),
+    "concat_cols": (ad.concat_cols, [(2, 3), (2, 1)]),
+    "split_cols": (lambda a: ad.split_cols(a, 1), [(2, 3)]),
+}
+
+
+def test_recording_cases_cover_every_primitive():
+    public = {name for name, fn in vars(ad).items()
+              if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+              and not name.startswith("_")}
+    assert public - {"constant", "grad_check"} <= set(RECORDING_CASES)
+
+
+@pytest.mark.parametrize("name", list(RECORDING_CASES))
+def test_recording_rule(name):
+    """Inside a tape, constant operands record nothing; each trainable
+    operand on its own records one step (mean_all is sum_all then scale)."""
+    fn, shapes = RECORDING_CASES[name]
+    rng = np.random.default_rng(0)
+    for trainable in [None, *range(len(shapes))]:
+        operands = [Matrix(rng.uniform(0.1, 0.9, size=s),
+                           requires_grad=j == trainable)
+                    for j, s in enumerate(shapes)]
+        with Tape() as tape:
+            out = fn(*operands)
+        recorded = trainable is not None
+        assert len(tape) == (0 if not recorded else 2 if name == "mean_all" else 1)
+        outs = out if isinstance(out, tuple) else (out,)
+        assert all(o.requires_grad is recorded for o in outs)
 
 
 def test_split_cols_inverts_concat_cols():

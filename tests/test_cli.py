@@ -113,10 +113,12 @@ class TestTrain:
         assert "beta_cap" in err and "[0, 1]" in err
 
     def test_unknown_config_key_exits_1(self, split_dir, tmp_path, capsys):
-        code = main(["train", "--data", split_dir, "--out", str(tmp_path / "r"),
-                     "--set", "model.widgets=3"])
-        assert code == 1
-        assert "unknown key" in capsys.readouterr().err
+        # data.min_rating is a prepare flag, not a config key.
+        for override in ("model.widgets=3", "data.min_rating=1"):
+            code = main(["train", "--data", split_dir, "--out",
+                         str(tmp_path / "r"), "--set", override])
+            assert code == 1
+            assert "unknown key" in capsys.readouterr().err
 
     def test_unknown_section_exits_1(self, split_dir, tmp_path, capsys):
         code = main(["train", "--data", split_dir, "--out", str(tmp_path / "r"),
@@ -228,6 +230,16 @@ class TestEval:
         assert extra["vocab_fingerprint"] in err
         assert vocab_fingerprint(load_split(split2).vocab) in err
 
+    def test_non_integer_k_exits_1(self, trained_run, split_dir, tmp_path,
+                                   capsys):
+        code = main(["eval", "--checkpoint",
+                     os.path.join(trained_run, "model.ckpt"),
+                     "--data", split_dir, "--ks", "10,abc",
+                     "--out", str(tmp_path / "rep")])
+        assert code == 1
+        assert "'abc'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "rep")
+
     def test_missing_checkpoint_exits_2(self, split_dir, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--data", split_dir])
@@ -296,6 +308,14 @@ class TestRecommend:
         vocab = load_split(split_dir).vocab
         assert self.run(trained_run, split_dir, ",".join(vocab)) == 0
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_top_n_below_one_exits_1(self, trained_run, split_dir, top_n,
+                                     capsys):
+        vocab = load_split(split_dir).vocab
+        assert self.run(trained_run, split_dir, vocab[0], top_n=top_n) == 1
+        captured = capsys.readouterr()
+        assert "--top-n" in captured.err and captured.out == ""
 
 
 class TestGradcheckCommand:

@@ -14,7 +14,7 @@ from vampcf import autodiff as ad
 from vampcf import model as M
 from vampcf.data import CSRMatrix
 from vampcf.errors import ConfigError, ShapeError
-from vampcf.gridcheck import check_cell, grid_cells, run_grid
+from vampcf.gridcheck import check_cell, grid_cells, run_grid, tiny_config
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -540,6 +540,37 @@ class TestElbo:
         cell = {"prior": "standard", "hierarchy": "flat", "gated": True,
                 "likelihood": "multinomial"}
         assert check_cell(cell, seed=0, corrupt=True) > 1e-4
+
+    # Backward steps one train-mode elbo call records per grid cell: one per
+    # primitive applied to a trainable operand. A change here changes what a
+    # training step computes.
+    TAPE_OPS = {
+        "flat-standard-gated-multinomial": 39,
+        "flat-standard-gated-bernoulli": 40,
+        "flat-standard-ungated-multinomial": 35,
+        "flat-standard-ungated-bernoulli": 36,
+        "flat-vamp-gated-multinomial": 74,
+        "flat-vamp-gated-bernoulli": 75,
+        "flat-vamp-ungated-multinomial": 68,
+        "flat-vamp-ungated-bernoulli": 69,
+        "two_level-vamp-gated-multinomial": 111,
+        "two_level-vamp-gated-bernoulli": 112,
+        "two_level-vamp-ungated-multinomial": 101,
+        "two_level-vamp-ungated-bernoulli": 102,
+    }
+
+    @pytest.mark.parametrize("name,cell", grid_cells(),
+                             ids=[n for n, _ in grid_cells()])
+    def test_tape_length_per_grid_cell(self, name, cell):
+        cfg = tiny_config(**cell)
+        rng = np.random.default_rng(0)
+        x = (rng.random((4, cfg.n_items)) < 0.25).astype(np.float64)
+        x[:, 0] = 1.0
+        params = M.init_params(cfg, rng, train_matrix=x)
+        with ad.Tape() as tape:
+            M.elbo(CSRMatrix.from_dense(x), params, 0.5, rng=rng, mode="train",
+                   dropout_rate=0.5)
+        assert len(tape) == self.TAPE_OPS[name]
 
 
 class TestElboDecomposition:
