@@ -67,7 +67,8 @@ def cmd_prepare(args):
 
 
 def _resolve_split_dir(args, cfg):
-    split_dir = getattr(args, "data", None) or cfg.data.get("split_dir")
+    """``--data``, else the config's ``data.split_dir``; ``cfg`` may be None."""
+    split_dir = args.data or (cfg.data.get("split_dir") if cfg else None)
     if not split_dir:
         raise ConfigError("no split directory: pass --data or set data.split_dir")
     return split_dir
@@ -118,12 +119,10 @@ def _parse_ks(text):
 
 def cmd_eval(args):
     ks = _parse_ks(args.ks)
-    params, extra = load_checkpoint(args.checkpoint)
     cfg = load_config(args.config, args.set) if args.config or args.set \
         else None
-    split_dir = args.data or (cfg.data.get("split_dir") if cfg else None)
-    if not split_dir:
-        raise ConfigError("no split directory: pass --data or set data.split_dir")
+    split_dir = _resolve_split_dir(args, cfg)
+    params, extra = load_checkpoint(args.checkpoint)
     ds = load_split(split_dir)
     fp = vocab_fingerprint(ds.vocab)
     stored = extra.get("vocab_fingerprint")

@@ -6,7 +6,13 @@ inputs are 2-D C-contiguous float64 arrays unless noted.
 """
 import numpy as np
 
+from .errors import ConfigError, ShapeError
+
 BACKEND_NAME = "numpy"
+
+# Elements per block of ``adam_update``: its five 256 KB slices (p, g, m,
+# v and the scratch buffer) fit together in a core's L2 cache.
+ADAM_BLOCK = 1 << 15
 
 
 def sigmoid(x):
@@ -74,19 +80,41 @@ def l2_normalize_rows_bwd(y, inv, g):
 def adam_update(p, g, m, v, t, lr, beta1, beta2, eps):
     """One bias-corrected adaptive-moment step, updating p/m/v in place.
 
-    Works through one scratch array the shape of ``g``; ``g`` is only read.
+    Runs block by block over the flattened arrays, so that each of its
+    passes works on ``ADAM_BLOCK`` elements that stay in cache, through
+    one block-sized scratch buffer. The arithmetic and its order are those
+    of the whole-array update, so the result is the same bit for bit.
+    ``p``, ``m`` and ``v`` must be C-contiguous, because a reshape of any
+    other layout is a copy and the update would be lost; ``g`` is only
+    read and may have any layout.
     """
-    tmp = np.multiply(g, 1.0 - beta1)
-    m *= beta1
-    m += tmp
-    np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - beta2
-    v *= beta2
-    v += tmp
+    for name, a in (("p", p), ("m", m), ("v", v)):
+        if not a.flags.c_contiguous:
+            raise ConfigError(f"adam_update: {name} must be C-contiguous")
+    if not p.shape == g.shape == m.shape == v.shape:
+        raise ShapeError(f"adam_update: shapes differ: p {p.shape}, "
+                         f"g {g.shape}, m {m.shape}, v {v.shape}")
+    pf, mf, vf = p.reshape(-1), m.reshape(-1), v.reshape(-1)
+    gf = g.ravel()
+    n = pf.size
+    scratch = np.empty(min(n, ADAM_BLOCK))
     # p -= lr * (m / c1) / (sqrt(v / c2) + eps), with c = 1 - beta ** t
-    np.divide(v, 1.0 - beta2 ** t, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += eps
-    np.divide(m, tmp, out=tmp)
-    tmp *= lr / (1.0 - beta1 ** t)
-    p -= tmp
+    c2 = 1.0 - beta2 ** t
+    step = lr / (1.0 - beta1 ** t)
+    for lo in range(0, n, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, n)
+        gb, mb, vb, pb = gf[lo:hi], mf[lo:hi], vf[lo:hi], pf[lo:hi]
+        tmp = scratch[:hi - lo]
+        np.multiply(gb, 1.0 - beta1, out=tmp)
+        mb *= beta1
+        mb += tmp
+        np.multiply(gb, gb, out=tmp)
+        tmp *= 1.0 - beta2
+        vb *= beta2
+        vb += tmp
+        np.divide(vb, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(mb, tmp, out=tmp)
+        tmp *= step
+        pb -= tmp

@@ -96,22 +96,30 @@ class OptimizerState:
 def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Bias-corrected adaptive-moment update over every named parameter.
 
-    Every gradient is checked before any parameter moves: a non-finite one
-    raises ``NumericalError`` with the parameters, moments and step count
-    untouched.
+    Returns the global L2 norm of the gradients. Every gradient is checked
+    before any parameter moves: a non-finite one raises ``NumericalError``
+    with the parameters, moments and step count untouched. The check is
+    one dot product per gradient, since a finite sum of squares proves
+    every entry finite; only a sum that is not finite, which a large but
+    finite gradient can also give, is followed by an elementwise test.
     """
     named = params.named_parameters()
     grads = {}
+    sum_sq = 0.0
     for name, p in named.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
+        gf = g.ravel()
+        sq = float(np.dot(gf, gf))
+        if not math.isfinite(sq) and not np.all(np.isfinite(g)):
             raise NumericalError(
                 f"non-finite gradient in {name} at optimizer step {state.step + 1}")
+        sum_sq += sq
         grads[name] = g
     state.step += 1
     for name, p in named.items():
         kernels.adam_update(p.data, grads[name], state.m[name], state.v[name],
                             state.step, lr, beta1, beta2, eps)
+    return math.sqrt(sum_sq)
 
 
 @dataclass
@@ -165,6 +173,7 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
             t0 = time.perf_counter()
             order = rng.permutation(n)
             sums = np.zeros(4)
+            grad_norm_sum = 0.0
             aborted = None
             for rows in _batches(order, cfg.batch_size):
                 beta = beta_at(step, cfg)
@@ -179,7 +188,7 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
                             raise NumericalError(
                                 f"non-finite loss at epoch {epoch} step {step}")
                         tape.backward(loss)
-                    adam_step(params, state, cfg.learning_rate)
+                    grad_norm_sum += adam_step(params, state, cfg.learning_rate)
                 except NumericalError as e:
                     aborted = str(e)
                     break
@@ -199,6 +208,7 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
                 "mean_elbo": sums[0] / n, "mean_recon": sums[1] / n,
                 "mean_kl_z1": sums[2] / n, "mean_kl_z2": sums[3] / n,
                 "beta": beta_at(step, cfg), "val_metric": val,
+                "mean_grad_norm": grad_norm_sum / steps_per_epoch,
                 "wall_seconds": time.perf_counter() - t0,
             }
             log.append(record)

@@ -245,6 +245,14 @@ class TestEval:
                      "--data", split_dir])
         assert code == 2
 
+    def test_no_split_dir_exits_1_before_reading_checkpoint(self, tmp_path,
+                                                             capsys):
+        # The checkpoint does not exist: the split directory is resolved
+        # first, so the usage error wins over the missing file.
+        code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt")])
+        assert code == 1
+        assert "no split directory" in capsys.readouterr().err
+
     def test_split_without_vocab_exits_2(self, trained_run, split_dir, tmp_path,
                                          capsys):
         broken = tmp_path / "s"

@@ -1,8 +1,12 @@
 """The numpy kernels against closed forms and at extreme arguments."""
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from vampcf import kernels, metrics, training
 from vampcf.data import split
+from vampcf.errors import ConfigError, ShapeError
 from vampcf.model import ModelConfig, init_params
 from vampcf.synthetic import archetype_interactions
 from vampcf.training import TrainConfig
@@ -108,3 +112,88 @@ def test_adam_update_matches_textbook_formula():
     np.testing.assert_allclose(p, p_ref, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(m, m_ref, rtol=1e-13)
     np.testing.assert_allclose(v, v_ref, rtol=1e-13)
+
+
+def adam_whole_array(p, g, m, v, t, lr, beta1, beta2, eps):
+    """The whole-array update that the blocked kernel must match bit for bit."""
+    tmp = np.multiply(g, 1.0 - beta1)
+    m *= beta1
+    m += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - beta2
+    v *= beta2
+    v += tmp
+    np.divide(v, 1.0 - beta2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    np.divide(m, tmp, out=tmp)
+    tmp *= lr / (1.0 - beta1 ** t)
+    p -= tmp
+
+
+@pytest.mark.parametrize("shape", [
+    (1, kernels.ADAM_BLOCK - 1), (1, kernels.ADAM_BLOCK),
+    (1, kernels.ADAM_BLOCK + 1), (1, 1), (3, kernels.ADAM_BLOCK // 2 + 7)])
+def test_blocked_adam_is_bit_identical_to_whole_array(shape):
+    rng = np.random.default_rng(7)
+    p = rng.standard_normal(shape)
+    m, v = np.zeros(shape), np.zeros(shape)
+    p_ref, m_ref, v_ref = p.copy(), m.copy(), v.copy()
+    for t in range(1, 6):
+        g = rng.standard_normal(shape)
+        kernels.adam_update(p, g, m, v, t, 1e-3, 0.9, 0.999, 1e-8)
+        adam_whole_array(p_ref, g, m_ref, v_ref, t, 1e-3, 0.9, 0.999, 1e-8)
+    assert np.array_equal(p, p_ref)
+    assert np.array_equal(m, m_ref)
+    assert np.array_equal(v, v_ref)
+
+
+def test_adam_reads_a_gradient_of_any_layout():
+    shape = (70, 900)
+    rng = np.random.default_rng(8)
+    p = rng.standard_normal(shape)
+    m, v = np.zeros(shape), np.zeros(shape)
+    p_ref, m_ref, v_ref = p.copy(), m.copy(), v.copy()
+    g_t = rng.standard_normal(shape[::-1]).T   # a transposed, F-ordered view
+    kernels.adam_update(p, g_t, m, v, 1, 1e-3, 0.9, 0.999, 1e-8)
+    adam_whole_array(p_ref, np.ascontiguousarray(g_t), m_ref, v_ref, 1,
+                     1e-3, 0.9, 0.999, 1e-8)
+    assert np.array_equal(p, p_ref)
+    assert np.array_equal(m, m_ref)
+    assert np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("which", ["p", "m", "v"])
+def test_adam_rejects_a_state_array_that_is_not_c_contiguous(which):
+    # reshape(-1) of such an array is a copy, so its update would be lost.
+    arrays = {"p": np.ones((4, 6)), "m": np.zeros((4, 6)), "v": np.zeros((4, 6))}
+    arrays[which] = np.zeros((6, 4)).T
+    before = {n: a.copy() for n, a in arrays.items()}
+    with pytest.raises(ConfigError, match=f"{which} must be C-contiguous"):
+        kernels.adam_update(arrays["p"], np.ones((4, 6)), arrays["m"],
+                            arrays["v"], 1, 1e-3, 0.9, 0.999, 1e-8)
+    for n, a in arrays.items():
+        assert np.array_equal(a, before[n]), n
+
+
+def test_adam_rejects_a_gradient_of_another_shape():
+    p, m, v = np.ones((4, 6)), np.zeros((4, 6)), np.zeros((4, 6))
+    with pytest.raises(ShapeError, match="shapes differ"):
+        kernels.adam_update(p, np.ones((6, 4)), m, v, 1, 1e-3, 0.9, 0.999, 1e-8)
+    assert np.array_equal(p, np.ones((4, 6)))
+
+
+def test_adam_update_holds_no_gradient_sized_scratch():
+    # A whole-array update allocates one scratch array the size of the
+    # gradient (9.2 MB here); the blocked one needs a single block.
+    shape = (2000, 600)
+    rng = np.random.default_rng(9)
+    p, g = rng.standard_normal(shape), rng.standard_normal(shape)
+    m, v = np.zeros(shape), np.zeros(shape)
+    tracemalloc.start()
+    try:
+        kernels.adam_update(p, g, m, v, 1, 1e-3, 0.9, 0.999, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak / 2**20:.2f} MB"

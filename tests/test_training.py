@@ -1,13 +1,15 @@
 """Trainer oracles: schedule values, optimizer arithmetic, stopping rules,
 determinism, and the single-batch overfit ceiling."""
 import math
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from vampcf import autodiff as ad
-from vampcf import training
+from vampcf import kernels, training
 from vampcf.autodiff import Matrix, Tape
 from vampcf.checkpoint import load_checkpoint, save_checkpoint
 from vampcf.data import DatasetSplit, InteractionVector
@@ -142,14 +144,68 @@ class TestAdam:
             assert np.array_equal(state.v[n], v_before[n]), n
 
 
+    @staticmethod
+    def big_params():
+        """A small tensor and one of ADAM_BLOCK + 1 elements, so that the
+        last entry of the large gradient lies past the first block."""
+        rng = np.random.default_rng(4)
+        named = {"small": Matrix(rng.standard_normal((3, 5))),
+                 "big": Matrix(rng.standard_normal((1, kernels.ADAM_BLOCK + 1)))}
+        return SimpleNamespace(named_parameters=lambda: named), named
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_last_element_raises_and_moves_nothing(self, bad):
+        params, named = self.big_params()
+        state = OptimizerState.for_params(params)
+        for p in named.values():
+            p.grad = np.ones_like(p.data)
+        adam_step(params, state, lr=1e-3)
+        before = {n: p.data.copy() for n, p in named.items()}
+        m_before = {n: a.copy() for n, a in state.m.items()}
+        v_before = {n: a.copy() for n, a in state.v.items()}
+        named["big"].grad = np.ones_like(named["big"].data)
+        named["big"].grad[0, -1] = bad
+        with pytest.raises(NumericalError, match=re.escape(
+                "non-finite gradient in big at optimizer step 2")):
+            adam_step(params, state, lr=1e-3)
+        assert state.step == 1
+        for n, p in named.items():
+            assert np.array_equal(p.data, before[n]), n
+            assert np.array_equal(state.m[n], m_before[n]), n
+            assert np.array_equal(state.v[n], v_before[n]), n
+
+    def test_finite_gradient_whose_square_sum_overflows_still_steps(self):
+        params, named = self.big_params()
+        state = OptimizerState.for_params(params)
+        for p in named.values():
+            p.grad = np.full_like(p.data, 1e200)
+        with np.errstate(over="ignore"):
+            norm = adam_step(params, state, lr=1e-3)
+        assert state.step == 1
+        assert norm == math.inf
+        assert np.all(state.m["big"] == 1e200 * (1.0 - 0.9))
+
+    def test_returns_global_gradient_norm(self):
+        params = init_params(tiny_model_cfg(), np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        named = params.named_parameters()
+        for p in named.values():
+            p.grad = rng.standard_normal(p.data.shape)
+        flat = np.concatenate([p.grad.ravel() for p in named.values()])
+        norm = adam_step(params, OptimizerState.for_params(params), lr=1e-3)
+        assert norm == pytest.approx(np.linalg.norm(flat), rel=1e-12)
+
+
 class TestTrainLoop:
     def test_log_has_one_record_per_epoch(self):
         result = train(tiny_split(), tiny_model_cfg(), tiny_train_cfg())
         assert [r["epoch"] for r in result.log] == list(range(len(result.log)))
         for r in result.log:
             assert set(r) == {"epoch", "mean_elbo", "mean_recon", "mean_kl_z1",
-                              "mean_kl_z2", "beta", "val_metric", "wall_seconds"}
+                              "mean_kl_z2", "beta", "val_metric",
+                              "mean_grad_norm", "wall_seconds"}
             assert r["beta"] <= 0.2
+            assert math.isfinite(r["mean_grad_norm"]) and r["mean_grad_norm"] > 0.0
 
     def test_best_metric_is_max_over_epochs(self):
         result = train(tiny_split(), tiny_model_cfg(), tiny_train_cfg())
