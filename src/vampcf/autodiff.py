@@ -16,8 +16,9 @@ A new primitive is therefore its forward expression plus one ``_op`` call
 that pairs each operand with its gradient map. ``split_cols``, the one
 primitive with two results, records its step by hand.
 
-The one sparse operand is a CSR batch of interaction rows, the left side of
-``sparse_matmul``; it is a constant.
+The one sparse operand is a CSR batch of interaction rows: the left side of
+``sparse_matmul`` and the target of the two likelihoods. It is a constant,
+and no primitive densifies it.
 
 Broadcasting is deliberately limited to adding/subtracting a single-row
 vector across the rows of a matrix (bias addition); everything else must
@@ -160,8 +161,9 @@ def sparse_matmul(x, w, tail=None):
     ``x`` is a constant (``data``/``indices``/``indptr``/``shape`` in
     scipy's layout); no gradient flows into it. Row r of ``x @ w`` is its
     stored values times the rows of ``w`` at its columns, so the forward
-    pass reads only those rows. The gradient into ``w`` is one GEMM on x
-    densified for the backward pass only.
+    pass reads only those rows. The gradient into ``w`` is zero outside
+    the columns the batch touches; for those it is one GEMM over an
+    n x len(cols) block of x that holds only the touched columns.
     """
     n, m = x.shape
     t = 0 if tail is None else tail.cols
@@ -175,8 +177,11 @@ def sparse_matmul(x, w, tail=None):
         np.dot(vals[lo:hi], wd.take(idx[lo:hi], axis=0), out=out_data[r])
 
     def w_grad(g):
-        gw = np.empty(w.shape)
-        np.matmul(x.toarray().T, g, out=gw[:m])
+        gw = np.zeros(w.shape)
+        cols = np.unique(idx)
+        block = np.zeros((n, cols.size))
+        block[x.row_ids(), np.searchsorted(cols, idx)] = vals
+        gw[cols] = block.T @ g
         if tail is not None:
             np.matmul(tail.data.T, g, out=gw[m:])
         return gw
@@ -291,6 +296,55 @@ def softmax_log(a):
     """Row-wise log of softmax(a); exp of each output row sums to 1."""
     y = K.log_softmax_rows(a.data)
     return _op(y, (a, lambda g: K.log_softmax_rows_bwd(y, g)))
+
+
+def _target_rows(name, logits, x):
+    """The row of each stored entry of the CSR target ``x``."""
+    if logits.shape != x.shape:
+        raise ShapeError(f"{name}: {logits.shape} vs {x.shape}")
+    return x.row_ids()
+
+
+def multinomial_log_lik(logits, x):
+    """Per row, the sum of ``x``'s stored values times the log-softmax of
+    the logits at their columns: (n, m) logits and CSR x -> (n, 1).
+
+    The gradient is g * (x - s * softmax(logits)) for a row value sum s:
+    one dense pass plus a scatter at the stored entries.
+    """
+    row = _target_rows("multinomial_log_lik", logits, x)
+    n, idx = x.rows, x.indices
+    y = K.log_softmax_rows(logits.data)
+    out = np.bincount(row, weights=x.data * y[row, idx], minlength=n)
+
+    def grad(g):
+        s = np.bincount(row, weights=x.data, minlength=n).reshape(n, 1)
+        gl = np.exp(y)
+        gl *= -g * s
+        gl[row, idx] += g[row, 0] * x.data
+        return gl
+
+    return _op(out.reshape(n, 1), (logits, grad))
+
+
+def bernoulli_log_lik(logits, x):
+    """Per row, sum_i [x_i * l_i - softplus(l_i)] over all columns, for CSR
+    x: (n, m) logits -> (n, 1). Only x's stored entries enter x . l.
+
+    The gradient is g * (x - sigmoid(l)): one dense pass plus a scatter at
+    the stored entries.
+    """
+    row = _target_rows("bernoulli_log_lik", logits, x)
+    n, idx = x.rows, x.indices
+    xl = np.bincount(row, weights=x.data * logits.data[row, idx], minlength=n)
+    out = xl.reshape(n, 1) - K.softplus(logits.data).sum(axis=1, keepdims=True)
+
+    def grad(g):
+        gl = K.softplus_bwd(logits.data, -g)
+        gl[row, idx] += g[row, 0] * x.data
+        return gl
+
+    return _op(out, (logits, grad))
 
 
 def l2_normalize_rows(a):

@@ -21,11 +21,18 @@ def sigmoid(x):
 
 
 def sigmoid_bwd(y, g):
-    return g * y * (1.0 - y)
+    # g * y * (1 - y): (1 - y) is the one temporary besides the result.
+    out = np.multiply(g, y)
+    out *= 1.0 - y
+    return out
 
 
 def tanh_bwd(y, g):
-    return g * (1.0 - y * y)
+    # g * (1 - y * y), built in the result buffer.
+    out = np.multiply(y, y)
+    np.subtract(1.0, out, out=out)
+    out *= g
+    return out
 
 
 def softplus(x):
@@ -40,25 +47,47 @@ def softplus_bwd(x, g):
     return g * (0.5 * np.tanh(0.5 * x) + 0.5)
 
 
+def _sum_exp_shifted(x, m, buf):
+    """Row sums of exp(x - m), computed in ``buf``, shape (n, 1)."""
+    np.subtract(x, m, out=buf)
+    np.exp(buf, out=buf)
+    return np.sum(buf, axis=1, keepdims=True)
+
+
 def logsumexp_rows(x):
     """Row-wise log-sum-exp with max subtraction, shape (n, 1)."""
     m = np.max(x, axis=1, keepdims=True)
-    return m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
+    return m + np.log(_sum_exp_shifted(x, m, np.empty_like(x)))
 
 
 def logsumexp_rows_bwd(x, out, g):
-    return np.exp(x - out) * g
+    # exp(x - out) * g, built in the result buffer.
+    r = np.subtract(x, out)
+    np.exp(r, out=r)
+    r *= g
+    return r
 
 
 def log_softmax_rows(x):
-    """Row-wise log-softmax; exp of the result sums to 1 per row."""
+    """Row-wise log-softmax; exp of the result sums to 1 per row.
+
+    One n x m buffer: it holds exp(x - m) for the row sums, then x - m is
+    recomputed into it, which costs less than a second buffer.
+    """
     m = np.max(x, axis=1, keepdims=True)
-    shifted = x - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    out = np.empty_like(x)
+    lse = np.log(_sum_exp_shifted(x, m, out))
+    np.subtract(x, m, out=out)
+    out -= lse
+    return out
 
 
 def log_softmax_rows_bwd(y, g):
-    return g - np.exp(y) * np.sum(g, axis=1, keepdims=True)
+    # g - exp(y) * sum(g), built in the result buffer.
+    out = np.exp(y)
+    out *= np.sum(g, axis=1, keepdims=True)
+    np.subtract(g, out, out=out)
+    return out
 
 
 def l2_normalize_rows(x):
@@ -73,8 +102,13 @@ def l2_normalize_rows(x):
 
 
 def l2_normalize_rows_bwd(y, inv, g):
-    dot = np.sum(g * y, axis=1, keepdims=True)
-    return inv * (g - y * dot)
+    # inv * (g - y * sum(g * y)), built in the result buffer.
+    out = np.multiply(g, y)
+    dot = np.sum(out, axis=1, keepdims=True)
+    np.multiply(y, dot, out=out)
+    np.subtract(g, out, out=out)
+    out *= inv
+    return out
 
 
 def adam_update(p, g, m, v, t, lr, beta1, beta2, eps):

@@ -7,10 +7,12 @@ batches (one user per row) and are differentiable through the autodiff
 tape; evaluation-mode calls with no active tape are plain numpy.
 
 Interaction batches run as CSR (``data.CSRMatrix``): each encoder's first
-layer reads only the weight rows at a user's items. A dense ``Matrix``
-batch is converted at entry, so both forms give the same scores bit for
-bit. Only a learnable dense input, the vamp pseudo-inputs, keeps the dense
-product, so that its gradient can flow.
+layer reads only the weight rows at a user's items, and the likelihood
+reads the logits only at the batch's stored entries, so a training step
+never densifies the batch. A dense ``Matrix`` batch is converted at entry,
+so both forms give the same scores bit for bit. Only a learnable dense
+input, the vamp pseudo-inputs, keeps the dense product, so that its
+gradient can flow.
 
 Latent naming follows the hierarchy: ``z2`` is the top-level latent whose
 prior is standard or vamp, ``z1`` the lower latent with a learned
@@ -390,27 +392,21 @@ def decode(z1, z2, params):
 # Densities and divergences (all per-row, returning (n, 1) columns)
 # ---------------------------------------------------------------------------
 
-def _dense_target(x):
-    """The 0/1 target as a dense constant; a CSR batch is densified."""
-    return ad.constant(x.toarray()) if isinstance(x, CSRMatrix) else x
+def _sparse_target(x):
+    """The likelihood target as CSR; a dense one keeps its nonzeros."""
+    return x if isinstance(x, CSRMatrix) else CSRMatrix.from_dense(x)
 
 
 def log_lik_multinomial(logits, x):
     """Sum over consumed items of the log-softmax scores; the multinomial
     coefficient is constant in the parameters and omitted."""
-    x = _dense_target(x)
-    if logits.shape != x.shape:
-        raise ShapeError(f"log_lik_multinomial: {logits.shape} vs {x.shape}")
-    return ad.sum_rows(ad.mul(x, ad.softmax_log(logits)))
+    return ad.multinomial_log_lik(logits, _sparse_target(x))
 
 
 def log_lik_bernoulli(logits, x):
     """Per-item binary cross-entropy in stable logit form:
     sum_i [x_i * l_i - softplus(l_i)]."""
-    x = _dense_target(x)
-    if logits.shape != x.shape:
-        raise ShapeError(f"log_lik_bernoulli: {logits.shape} vs {x.shape}")
-    return ad.sum_rows(ad.sub(ad.mul(x, logits), ad.softplus(logits)))
+    return ad.bernoulli_log_lik(logits, _sparse_target(x))
 
 
 def log_likelihood(logits, x, likelihood):
@@ -566,7 +562,6 @@ def elbo_decomposition(x, params, n_mc, rng):
         raise ConfigError("elbo_decomposition needs a non-empty batch")
     cfg = params.config
     x = as_batch(x)
-    target = _dense_target(x)
     h = prepare_input(x, "eval")
     g2 = _encode_z2_prepared(h, params)
     entropy = float(np.mean(0.5 * np.sum(g2.log_var.data + 1.0 + LOG_2PI, axis=1)))
@@ -583,7 +578,7 @@ def elbo_decomposition(x, params, n_mc, rng):
             logits = decode(z1, z2, params)
         else:
             logits = decode(z2, None, params)
-        recon_draws[s] = log_likelihood(logits, target, cfg.likelihood).data.mean()
+        recon_draws[s] = log_likelihood(logits, x, cfg.likelihood).data.mean()
         if cfg.prior == "standard":
             log_prior = standard_normal_log_density(z2.z)
         else:

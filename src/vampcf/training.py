@@ -97,11 +97,15 @@ def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Bias-corrected adaptive-moment update over every named parameter.
 
     Returns the global L2 norm of the gradients. Every gradient is checked
-    before any parameter moves: a non-finite one raises ``NumericalError``
+    before any parameter moves: one that is not finite, or that has an
+    entry whose square overflows (and would turn that tensor's second
+    moment into inf, so that it stops learning), raises ``NumericalError``
     with the parameters, moments and step count untouched. The check is
     one dot product per gradient, since a finite sum of squares proves
-    every entry finite; only a sum that is not finite, which a large but
-    finite gradient can also give, is followed by an elementwise test.
+    every square finite; only a sum that is not finite is followed by a
+    pass over the entries. A sum of squares that overflows while every
+    square is finite still steps, and the norm is then computed scaled by
+    the largest entry, so it is finite.
     """
     named = params.named_parameters()
     grads = {}
@@ -110,16 +114,31 @@ def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         gf = g.ravel()
         sq = float(np.dot(gf, gf))
-        if not math.isfinite(sq) and not np.all(np.isfinite(g)):
-            raise NumericalError(
-                f"non-finite gradient in {name} at optimizer step {state.step + 1}")
+        if not math.isfinite(sq):
+            big = float(np.max(np.abs(gf)))
+            where = f"in {name} at optimizer step {state.step + 1}"
+            if not math.isfinite(big):
+                raise NumericalError(f"non-finite gradient {where}")
+            if not math.isfinite(big * big):
+                raise NumericalError(
+                    f"gradient entry {big:.3g} {where} overflows when squared")
         sum_sq += sq
         grads[name] = g
+    norm = math.sqrt(sum_sq) if math.isfinite(sum_sq) else _scaled_norm(grads.values())
     state.step += 1
     for name, p in named.items():
         kernels.adam_update(p.data, grads[name], state.m[name], state.v[name],
                             state.step, lr, beta1, beta2, eps)
-    return math.sqrt(sum_sq)
+    return norm
+
+
+def _scaled_norm(grads):
+    """The L2 norm of all the arrays together, summed scaled by the largest
+    magnitude so that no square overflows."""
+    grads = list(grads)
+    top = max(float(np.max(np.abs(g))) for g in grads if g.size)
+    return top * math.sqrt(sum(float(np.dot(f, f)) for f in
+                               (g.ravel() / top for g in grads)))
 
 
 @dataclass

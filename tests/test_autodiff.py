@@ -165,6 +165,7 @@ PRIMITIVE_CASES = [
     "exp", "log", "softplus", "logsumexp", "softmax_log", "sum_rows",
     "clamp", "concat_cols", "transpose", "l2_normalize_rows",
     "split_cols", "split_cols_left_only", "split_cols_right_only",
+    "multinomial_log_lik", "bernoulli_log_lik",
 ]
 
 
@@ -244,6 +245,13 @@ def test_primitive_gradients_at_100_random_points(name):
                               ad.sum_all(ad.mul(ad.tanh(right),
                                                 ad.constant(probe.data[:, 1:]))))
             params = [x]
+        elif name in ("multinomial_log_lik", "bernoulli_log_lik"):
+            # A CSR target with an empty row and non-binary values.
+            target = _random_csr(rng, 2, 3, density=0.6)[0]
+            lik = getattr(ad, name)
+            f = lambda: ad.sum_all(ad.mul(lik(x, target),
+                                          ad.constant([[0.7], [-0.3]])))
+            params = [x]
         elif name in ("split_cols_left_only", "split_cols_right_only"):
             # The other half is never used, so its gradient stays None.
             side = 0 if name == "split_cols_left_only" else 1
@@ -287,6 +295,10 @@ RECORDING_CASES = {
     "l2_normalize_rows": (ad.l2_normalize_rows, [(2, 3)]),
     "concat_cols": (ad.concat_cols, [(2, 3), (2, 1)]),
     "split_cols": (lambda a: ad.split_cols(a, 1), [(2, 3)]),
+    "multinomial_log_lik": (lambda a: ad.multinomial_log_lik(a, _csr_2x3()),
+                            [(2, 3)]),
+    "bernoulli_log_lik": (lambda a: ad.bernoulli_log_lik(a, _csr_2x3()),
+                          [(2, 3)]),
 }
 
 
@@ -395,3 +407,106 @@ class TestSparseMatmul:
             ad.sparse_matmul(x, Matrix(np.zeros((9, 2))))
         with pytest.raises(ShapeError):
             ad.sparse_matmul(x, Matrix(np.zeros((10, 2))), Matrix(np.zeros((2, 2))))
+
+
+def _dense_first_layer_grad(x, tail, g):
+    """x.toarray().T @ g over x's columns and tail.T @ g below them."""
+    rows = [x.toarray().T @ g]
+    if tail is not None:
+        rows.append(tail.T @ g)
+    return np.concatenate(rows)
+
+
+class TestSparseWeightGradient:
+    """The first-layer weight gradient comes from the columns the batch
+    touches only; it must match the dense product everywhere."""
+
+    def grad(self, x, width, tail_cols=0, seed=0):
+        rng = np.random.default_rng(seed)
+        w = Matrix(rng.standard_normal((x.cols + tail_cols, width)),
+                   requires_grad=True)
+        tail = Matrix(rng.standard_normal((x.rows, tail_cols))) \
+            if tail_cols else None
+        g = rng.standard_normal((x.rows, width))
+        with Tape() as tape:
+            out = ad.sum_all(ad.mul(ad.sparse_matmul(x, w, tail), ad.constant(g)))
+            tape.backward(out)
+        expected = _dense_first_layer_grad(
+            x, None if tail is None else tail.data, g)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-13, atol=1e-13 * scale)
+        return w.grad
+
+    def test_empty_row_and_untouched_columns(self):
+        x, dense = _random_csr(np.random.default_rng(80), 7, 50, density=0.05)
+        gw = self.grad(x, 6)
+        untouched = ~dense.any(axis=0)
+        assert untouched.any() and np.all(gw[untouched] == 0.0)
+
+    def test_every_column_touched(self):
+        x, dense = _random_csr(np.random.default_rng(81), 6, 20, density=1.0)
+        assert dense.any(axis=0).all()
+        self.grad(x, 5, seed=1)
+
+    def test_with_a_tail(self):
+        x, _ = _random_csr(np.random.default_rng(82), 8, 30, density=0.2)
+        self.grad(x, 4, tail_cols=3, seed=2)
+
+    def test_all_rows_empty(self):
+        from vampcf.data import CSRMatrix
+        gw = self.grad(CSRMatrix.from_dense(np.zeros((3, 10))), 4, tail_cols=2)
+        assert np.all(gw[:10] == 0.0)
+
+
+def _dropout_scaled_target(rng):
+    """A 0/1 batch with an all-zero row and a one-item row, L2-normalised
+    and dropout-scaled the way training scales its encoder input."""
+    from vampcf.data import CSRMatrix
+    x = (rng.random((6, 15)) < 0.4).astype(np.float64)
+    x[0] = 0.0
+    x[1] = 0.0
+    x[1, 7] = 1.0
+    x /= np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1.0)
+    x *= (rng.random(x.shape) >= 0.3) / 0.7
+    x[1, 7] = 1.0 / 0.7
+    return CSRMatrix.from_dense(x), x
+
+
+# The dense formulas the CSR likelihoods replace, from dense primitives.
+DENSE_LIKELIHOODS = {
+    "multinomial_log_lik":
+        lambda l, x: ad.sum_rows(ad.mul(ad.constant(x), ad.softmax_log(l))),
+    "bernoulli_log_lik":
+        lambda l, x: ad.sum_rows(ad.sub(ad.mul(ad.constant(x), l), ad.softplus(l))),
+}
+
+
+@pytest.mark.parametrize("name", list(DENSE_LIKELIHOODS))
+def test_csr_likelihood_matches_the_dense_formula(name):
+    rng = np.random.default_rng(90)
+    target, dense = _dropout_scaled_target(rng)
+    logits = rng.uniform(-8.0, 8.0, size=dense.shape)
+    probe = ad.constant(rng.standard_normal((dense.shape[0], 1)))
+
+    def run(fn, x):
+        l = Matrix(logits, requires_grad=True)
+        with Tape() as tape:
+            out = fn(l, x)
+            tape.backward(ad.sum_all(ad.mul(out, probe)))
+        return out.data, l.grad
+
+    value, grad = run(getattr(ad, name), target)
+    value_ref, grad_ref = run(DENSE_LIKELIHOODS[name], dense)
+    if name == "multinomial_log_lik":
+        assert value[0, 0] == 0.0  # an empty row consumed nothing
+    np.testing.assert_allclose(value, value_ref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(grad, grad_ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(grad_ref).max())
+
+
+@pytest.mark.parametrize("name", list(DENSE_LIKELIHOODS))
+def test_csr_likelihood_rejects_a_target_of_another_shape(name):
+    from vampcf.data import CSRMatrix
+    with pytest.raises(ShapeError):
+        getattr(ad, name)(Matrix(np.zeros((2, 4))),
+                          CSRMatrix.from_dense(np.ones((2, 5))))

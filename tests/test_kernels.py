@@ -94,6 +94,76 @@ def test_l2_normalize_zero_row_has_unit_inverse():
                                rtol=1e-14)
 
 
+def _row_kernel_inputs():
+    """Rows with an all-zero row, entries of +-700 and ordinary values, and
+    an upstream gradient both full and broadcast from one column, as the
+    backward of a row sum passes it."""
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-3.0, 3.0, size=(5, 9))
+    x[1] = 0.0
+    x[2, [0, 4]] = 700.0, -700.0
+    x[3, :] = -700.0
+    x[4, 5] = 700.0
+    g = rng.standard_normal(x.shape)
+    g[1] = 0.0
+    g_col = np.broadcast_to(rng.standard_normal((5, 1)), x.shape)
+    return x, g, g_col
+
+
+# The whole-array expressions each row kernel replaced with a single result
+# buffer; they must agree bit for bit.
+def _old_log_softmax_rows(x):
+    m = np.max(x, axis=1, keepdims=True)
+    shifted = x - m
+    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+
+
+def _old_logsumexp_rows(x):
+    m = np.max(x, axis=1, keepdims=True)
+    return m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
+
+
+def _old_l2_normalize_rows_bwd(y, inv, g):
+    dot = np.sum(g * y, axis=1, keepdims=True)
+    return inv * (g - y * dot)
+
+
+@pytest.mark.parametrize("upstream", ["full", "broadcast"])
+def test_row_kernels_match_their_whole_array_expressions(upstream):
+    x, g, g_col = _row_kernel_inputs()
+    g = g if upstream == "full" else g_col
+    y = kernels.log_softmax_rows(x)
+    assert np.array_equal(y, _old_log_softmax_rows(x))
+    lse = kernels.logsumexp_rows(x)
+    assert np.array_equal(lse, _old_logsumexp_rows(x))
+    assert np.array_equal(kernels.logsumexp_rows_bwd(x, lse, g[:, :1]),
+                          np.exp(x - lse) * g[:, :1])
+    assert np.array_equal(kernels.log_softmax_rows_bwd(y, g),
+                          g - np.exp(y) * np.sum(g, axis=1, keepdims=True))
+    _, inv = kernels.l2_normalize_rows(x)
+    assert np.array_equal(kernels.l2_normalize_rows_bwd(x, inv, g),
+                          _old_l2_normalize_rows_bwd(x, inv, g))
+    s = kernels.sigmoid(x)
+    assert np.array_equal(kernels.sigmoid_bwd(s, g), g * s * (1.0 - s))
+    assert np.array_equal(kernels.sigmoid_bwd(x, g), g * x * (1.0 - x))
+    t = np.tanh(x)
+    assert np.array_equal(kernels.tanh_bwd(t, g), g * (1.0 - t * t))
+    assert np.array_equal(kernels.tanh_bwd(x, g), g * (1.0 - x * x))
+
+
+def test_row_kernels_leave_their_inputs_alone():
+    x, g, _ = _row_kernel_inputs()
+    x0, g0 = x.copy(), g.copy()
+    y = kernels.log_softmax_rows(x)
+    lse = kernels.logsumexp_rows(x)
+    kernels.logsumexp_rows_bwd(x, lse, g[:, :1])
+    kernels.log_softmax_rows_bwd(y, g)
+    kernels.l2_normalize_rows_bwd(x, lse, g)
+    kernels.sigmoid_bwd(x, g)
+    kernels.tanh_bwd(x, g)
+    assert np.array_equal(x, x0) and np.array_equal(g, g0)
+
+
 def test_adam_update_matches_textbook_formula():
     shape = (4, 3)
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8

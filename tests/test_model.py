@@ -544,19 +544,21 @@ class TestElbo:
     # Backward steps one train-mode elbo call records per grid cell: one per
     # primitive applied to a trainable operand. A change here changes what a
     # training step computes.
+    # Either likelihood is one primitive, so the two likelihoods of a cell
+    # record the same number of steps.
     TAPE_OPS = {
-        "flat-standard-gated-multinomial": 39,
-        "flat-standard-gated-bernoulli": 40,
-        "flat-standard-ungated-multinomial": 35,
-        "flat-standard-ungated-bernoulli": 36,
-        "flat-vamp-gated-multinomial": 74,
-        "flat-vamp-gated-bernoulli": 75,
-        "flat-vamp-ungated-multinomial": 68,
-        "flat-vamp-ungated-bernoulli": 69,
-        "two_level-vamp-gated-multinomial": 111,
-        "two_level-vamp-gated-bernoulli": 112,
-        "two_level-vamp-ungated-multinomial": 101,
-        "two_level-vamp-ungated-bernoulli": 102,
+        "flat-standard-gated-multinomial": 37,
+        "flat-standard-gated-bernoulli": 37,
+        "flat-standard-ungated-multinomial": 33,
+        "flat-standard-ungated-bernoulli": 33,
+        "flat-vamp-gated-multinomial": 72,
+        "flat-vamp-gated-bernoulli": 72,
+        "flat-vamp-ungated-multinomial": 66,
+        "flat-vamp-ungated-bernoulli": 66,
+        "two_level-vamp-gated-multinomial": 109,
+        "two_level-vamp-gated-bernoulli": 109,
+        "two_level-vamp-ungated-multinomial": 99,
+        "two_level-vamp-ungated-bernoulli": 99,
     }
 
     @pytest.mark.parametrize("name,cell", grid_cells(),
@@ -571,6 +573,27 @@ class TestElbo:
             M.elbo(CSRMatrix.from_dense(x), params, 0.5, rng=rng, mode="train",
                    dropout_rate=0.5)
         assert len(tape) == self.TAPE_OPS[name]
+
+    @pytest.mark.parametrize("name,cell", grid_cells(),
+                             ids=[n for n, _ in grid_cells()])
+    def test_training_step_never_densifies_the_batch(self, name, cell, monkeypatch):
+        cfg = tiny_config(**cell)
+        rng = np.random.default_rng(1)
+        x = (rng.random((5, cfg.n_items)) < 0.3).astype(np.float64)
+        x[0] = 0.0
+        params = M.init_params(cfg, rng, train_matrix=x)
+        batch = CSRMatrix.from_dense(x)
+
+        def refuse(self):
+            raise AssertionError("a CSR batch was densified")
+
+        monkeypatch.setattr(CSRMatrix, "toarray", refuse)
+        with ad.Tape() as tape:
+            out = M.elbo(batch, params, 0.5, rng=rng, mode="train",
+                         dropout_rate=0.5)
+            tape.backward(ad.scale(out.elbo, -1.0))
+        assert params.head_out.W.grad is not None
+        assert params.encoder_z2[0].W.grad is not None
 
 
 class TestElboDecomposition:

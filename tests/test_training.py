@@ -174,16 +174,40 @@ class TestAdam:
             assert np.array_equal(state.m[n], m_before[n]), n
             assert np.array_equal(state.v[n], v_before[n]), n
 
-    def test_finite_gradient_whose_square_sum_overflows_still_steps(self):
+    def test_finite_gradient_whose_square_overflows_raises_and_moves_nothing(self):
+        # 1e200 ** 2 is inf: stepping would set v to inf and the tensor
+        # would never learn again.
         params, named = self.big_params()
         state = OptimizerState.for_params(params)
         for p in named.values():
-            p.grad = np.full_like(p.data, 1e200)
+            p.grad = np.ones_like(p.data)
+        adam_step(params, state, lr=1e-3)
+        before = {n: p.data.copy() for n, p in named.items()}
+        v_before = {n: a.copy() for n, a in state.v.items()}
+        named["big"].grad = np.ones_like(named["big"].data)
+        named["big"].grad[0, -1] = -1e200
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match=re.escape(
+                    "gradient entry 1e+200 in big at optimizer step 2 "
+                    "overflows when squared")):
+                adam_step(params, state, lr=1e-3)
+        assert state.step == 1
+        for n, p in named.items():
+            assert np.array_equal(p.data, before[n]), n
+            assert np.array_equal(state.v[n], v_before[n]), n
+
+    def test_finite_squares_whose_sum_overflows_still_step(self):
+        params, named = self.big_params()
+        state = OptimizerState.for_params(params)
+        for p in named.values():
+            p.grad = np.full_like(p.data, 1e154)
         with np.errstate(over="ignore"):
             norm = adam_step(params, state, lr=1e-3)
         assert state.step == 1
-        assert norm == math.inf
-        assert np.all(state.m["big"] == 1e200 * (1.0 - 0.9))
+        size = sum(p.data.size for p in named.values())
+        assert norm == pytest.approx(1e154 * math.sqrt(size), rel=1e-12)
+        assert np.all(state.m["big"] == 1e154 * (1.0 - 0.9))
+        assert np.all(np.isfinite(state.v["big"]))
 
     def test_returns_global_gradient_norm(self):
         params = init_params(tiny_model_cfg(), np.random.default_rng(5))
