@@ -41,6 +41,18 @@ def _config_fingerprint(model_config):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def _checked_vocab_fingerprint(extra, vocab):
+    """The fingerprint of ``vocab``, which must match the one in the
+    checkpoint header ``extra`` when the header carries one."""
+    fp = vocab_fingerprint(vocab)
+    stored = extra.get("vocab_fingerprint")
+    if stored is not None and stored != fp:
+        raise ConfigError(
+            f"vocabulary mismatch: checkpoint was trained against {stored}, "
+            f"split directory has {fp}")
+    return fp
+
+
 def cmd_prepare(args):
     data = ingest(args.ratings, min_rating=args.min_rating,
                   min_items=args.min_items)
@@ -124,12 +136,7 @@ def cmd_eval(args):
     split_dir = _resolve_split_dir(args, cfg)
     params, extra = load_checkpoint(args.checkpoint)
     ds = load_split(split_dir)
-    fp = vocab_fingerprint(ds.vocab)
-    stored = extra.get("vocab_fingerprint")
-    if stored is not None and stored != fp:
-        raise ConfigError(
-            f"vocabulary mismatch: checkpoint was trained against {stored}, "
-            f"split directory has {fp}")
+    fp = _checked_vocab_fingerprint(extra, ds.vocab)
     users = ds.test_users if args.split == "test" else ds.validation_users
     report = evaluate(users, params, ks=ks,
                       fingerprint=f"{fp}:{_config_fingerprint(params.config)}",
@@ -151,12 +158,7 @@ def cmd_recommend(args):
         raise ConfigError(f"--top-n must be at least 1, got {args.top_n}")
     params, extra = load_checkpoint(args.checkpoint)
     vocab = read_vocab(args.data)
-    fp = vocab_fingerprint(vocab)
-    stored = extra.get("vocab_fingerprint")
-    if stored is not None and stored != fp:
-        raise ConfigError(
-            f"vocabulary mismatch: checkpoint was trained against {stored}, "
-            f"split directory has {fp}")
+    _checked_vocab_fingerprint(extra, vocab)
     index_of = {item: i for i, item in enumerate(vocab)}
     known, unknown = [], []
     for item in args.items.split(","):

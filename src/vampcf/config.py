@@ -46,33 +46,34 @@ def _opt_str(raw):
     return v or None
 
 
-# key -> (parser, default)
+# key -> parser. A key left out takes the default of its ModelConfig or
+# TrainConfig field; the model key ``k`` is the field ``n_pseudo``.
 MODEL_KEYS = {
-    "prior": (_str, "vamp"),
-    "hierarchy": (_str, "flat"),
-    "likelihood": (_str, "multinomial"),
-    "gated": (_bool, True),
-    "depth": (_int, 1),
-    "hidden": (_int, 600),
-    "d_z1": (_int, 200),
-    "d_z2": (_int, 200),
-    "k": (_int, 1000),
+    "prior": _str,
+    "hierarchy": _str,
+    "likelihood": _str,
+    "gated": _bool,
+    "depth": _int,
+    "hidden": _int,
+    "d_z1": _int,
+    "d_z2": _int,
+    "k": _int,
 }
 
 TRAIN_KEYS = {
-    "batch_size": (_int, 256),
-    "max_epochs": (_int, 50),
-    "learning_rate": (_float, 1e-3),
-    "beta_cap": (_float, 0.2),
-    "anneal_steps": (_auto_int, None),
-    "dropout_rate": (_float, 0.5),
-    "patience": (_int, 5),
-    "seed": (_int, 0),
-    "eval_metric": (_str, "ndcg@100"),
+    "batch_size": _int,
+    "max_epochs": _int,
+    "learning_rate": _float,
+    "beta_cap": _float,
+    "anneal_steps": _auto_int,
+    "dropout_rate": _float,
+    "patience": _int,
+    "seed": _int,
+    "eval_metric": _str,
 }
 
 DATA_KEYS = {
-    "split_dir": (_opt_str, None),
+    "split_dir": _opt_str,
 }
 
 SECTIONS = {"model": MODEL_KEYS, "train": TRAIN_KEYS, "data": DATA_KEYS}
@@ -80,17 +81,13 @@ SECTIONS = {"model": MODEL_KEYS, "train": TRAIN_KEYS, "data": DATA_KEYS}
 
 @dataclass
 class RunConfig:
-    model: dict
+    model: dict  # the [model] keys given, parsed
     train: TrainConfig
-    data: dict
+    data: dict   # the [data] keys given, parsed
 
     def model_config(self, n_items):
-        m = self.model
-        return ModelConfig(
-            n_items=n_items, prior=m["prior"], hierarchy=m["hierarchy"],
-            likelihood=m["likelihood"], gated=m["gated"], depth=m["depth"],
-            hidden=m["hidden"], d_z1=m["d_z1"], d_z2=m["d_z2"],
-            n_pseudo=m["k"])
+        return ModelConfig(n_items=n_items, **{
+            "n_pseudo" if key == "k" else key: v for key, v in self.model.items()})
 
 
 def _apply_overrides(cp, overrides):
@@ -129,14 +126,12 @@ def load_config(path=None, overrides=()):
         for key in present:
             if key not in table:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        for key, (parse, default) in table.items():
+        for key, parse in table.items():
             if key in present:
                 try:
                     values[key] = parse(present[key])
                 except ValueError as e:
                     raise ConfigError(f"bad value for {section}.{key}: {e}") from e
-            else:
-                values[key] = default
         parsed[section] = values
 
     train_cfg = TrainConfig(**parsed["train"])

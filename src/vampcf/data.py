@@ -64,9 +64,6 @@ class DatasetSplit:
     def n_items(self):
         return len(self.vocab)
 
-    def item_index(self):
-        return {item: i for i, item in enumerate(self.vocab)}
-
 
 def parse_ratings(path):
     """Yield RatingRecords from a delimited ratings file.

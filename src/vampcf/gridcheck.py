@@ -68,7 +68,7 @@ def check_cell(cell_kwargs, seed=0, beta=1.0, corrupt=False):
         noise["z1"] = rng.standard_normal((x.rows, cfg.d_z1))
 
     def objective():
-        res = elbo(x, params, beta, mode="eval", noise=noise)
+        res = elbo(x, params, beta, noise=noise)
         out = ad.scale(res.elbo, -1.0)
         if corrupt and ad._ACTIVE is not None:
             out = ad.add(out, ad.scale(ad.sum_all(params.head_out.W), 0.01))

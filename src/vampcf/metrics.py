@@ -204,6 +204,8 @@ def _rank_block(scores, block, ks, ideal, discount):
     ho_rows, ho_cols, n_held = _flat_rows([ho for _, _, ho in block])
     if ho_cols.min() < 0 or ho_cols.max() >= n_items:
         raise DataError(f"heldout item index out of range for {n_items} items")
+    if fi_cols.size and (fi_cols.min() < 0 or fi_cols.max() >= n_items):
+        raise DataError(f"fold-in item index out of range for {n_items} items")
     held = np.zeros((n_rows, n_items), dtype=bool)
     held[ho_rows, ho_cols] = True
     clash = held[fi_rows, fi_cols]

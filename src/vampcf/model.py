@@ -4,7 +4,7 @@ Covers the full model grid: standard-normal or mixture-of-posteriors
 (vamp) prior, flat or two-level latent hierarchy, gated or tanh layers,
 multinomial or Bernoulli likelihood. All forward functions operate on
 batches (one user per row) and are differentiable through the autodiff
-tape; evaluation-mode calls with no active tape are plain numpy.
+tape; calls with no active tape are plain numpy.
 
 Interaction batches run as CSR (``data.CSRMatrix``): each encoder's first
 layer reads only the weight rows at a user's items, and the likelihood
@@ -19,7 +19,7 @@ prior is standard or vamp, ``z1`` the lower latent with a learned
 conditional prior. Flat models use ``z2`` alone and ``z1`` aliases it.
 """
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -34,10 +34,13 @@ LOG_2PI = math.log(2.0 * math.pi)
 PRIORS = ("standard", "vamp")
 HIERARCHIES = ("flat", "two_level")
 LIKELIHOODS = ("multinomial", "bernoulli")
-MODES = ("train", "eval")
 
 LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 10.0
+
+# Standard deviation of the noise added to the training rows that seed the
+# pseudo-inputs.
+PSEUDO_NOISE = 0.01
 
 
 @dataclass
@@ -73,12 +76,7 @@ class ModelConfig:
         return self.hierarchy == "two_level"
 
     def to_dict(self):
-        return {
-            "n_items": self.n_items, "prior": self.prior,
-            "hierarchy": self.hierarchy, "likelihood": self.likelihood,
-            "gated": self.gated, "depth": self.depth, "hidden": self.hidden,
-            "d_z1": self.d_z1, "d_z2": self.d_z2, "n_pseudo": self.n_pseudo,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -95,14 +93,6 @@ class GaussianParams:
     """Diagonal Gaussian over a latent space, one distribution per row."""
     mean: Matrix
     log_var: Matrix
-
-
-@dataclass
-class LatentSample:
-    """A reparameterized draw: z = mean + exp(log_var / 2) * noise."""
-    z: Matrix
-    params: GaussianParams
-    noise: Matrix
 
 
 @dataclass
@@ -208,7 +198,7 @@ def _build_params(cfg, weight, bias):
     return params
 
 
-def init_params(config, rng, train_matrix=None, pseudo_noise=0.01):
+def init_params(config, rng, train_matrix=None):
     """Fresh parameters; pseudo-inputs copy random training rows plus noise.
 
     ``train_matrix`` is an (N, n_items) 0/1 ``CSRMatrix`` or array used for
@@ -226,7 +216,7 @@ def init_params(config, rng, train_matrix=None, pseudo_noise=0.01):
                 else np.asarray(train_matrix, dtype=np.float64)[rows]
         else:
             base = np.zeros((cfg.n_pseudo, cfg.n_items))
-        base = base + rng.normal(0.0, pseudo_noise, size=base.shape)
+        base = base + rng.normal(0.0, PSEUDO_NOISE, size=base.shape)
         params.pseudo_inputs = Matrix(base, requires_grad=True)
     return params
 
@@ -244,11 +234,6 @@ def empty_params(config):
 # ---------------------------------------------------------------------------
 # Forward pieces
 # ---------------------------------------------------------------------------
-
-def _check_mode(mode):
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-
 
 def _product(x, w, tail):
     """``[x | tail] @ w``: a row gather for a CSR ``x``, else one GEMM."""
@@ -293,18 +278,18 @@ def as_batch(x):
     return CSRMatrix.from_dense(x)
 
 
-def prepare_input(x, mode="eval", dropout_rate=0.0, rng=None):
-    """L2-normalize each row, then (training only) drop entries at random,
-    rescaling survivors by 1/(1-rate). All-zero rows pass through.
+def prepare_input(x, dropout_rate=0.0, rng=None):
+    """L2-normalize each row, then, when ``dropout_rate > 0``, drop entries
+    at random, rescaling survivors by 1/(1-rate). All-zero rows pass
+    through.
 
     A CSR batch keeps its pattern: only its stored values are scaled, and
     the dropout draws one uniform per stored value. A learnable dense input
     is only normalized; it takes no dropout.
     """
-    _check_mode(mode)
-    dropout = mode == "train" and dropout_rate > 0.0
+    dropout = dropout_rate > 0.0
     if dropout and rng is None:
-        raise ConfigError("training-mode dropout needs an rng")
+        raise ConfigError("dropout needs an rng")
     x = as_batch(x)
     if isinstance(x, Matrix):
         if dropout:
@@ -320,11 +305,11 @@ def prepare_input(x, mode="eval", dropout_rate=0.0, rng=None):
     return x.with_data(vals)
 
 
-def encode_z2(x, params, mode="eval", dropout_rate=0.0, rng=None):
+def encode_z2(x, params, dropout_rate=0.0, rng=None):
     """Variational posterior over the top latent given an interaction row."""
     if x.cols != params.config.n_items:
         raise ShapeError(f"encode_z2: {x.cols} columns vs n_items={params.config.n_items}")
-    return _encode_z2_prepared(prepare_input(x, mode, dropout_rate, rng), params)
+    return _encode_z2_prepared(prepare_input(x, dropout_rate, rng), params)
 
 
 def _encode_z2_prepared(h, params):
@@ -341,50 +326,55 @@ def _encode_z1_prepared(h, z2_value, params):
                      params.head_z1)
 
 
-def encode_z1(x, z2, params, mode="eval", dropout_rate=0.0, rng=None):
+def encode_z1(x, z2, params, dropout_rate=0.0, rng=None):
     """Lower-latent posterior; consumes the normalized input and the z2 draw."""
     if not params.config.two_level:
         raise ConfigError("encode_z1 requires a two_level model")
-    h = prepare_input(x, mode, dropout_rate, rng)
-    return _encode_z1_prepared(h, z2.z if isinstance(z2, LatentSample) else z2, params)
+    return _encode_z1_prepared(prepare_input(x, dropout_rate, rng), z2, params)
+
+
+def _lower_latent(h, z2, params, draw):
+    """(posterior, value) of z1 given the prepared input ``h`` and z2: a
+    two-level model encodes z1 from [items | z2] and takes ``draw`` of it;
+    a flat model has no z1 posterior (None), and z1 is z2."""
+    if not params.config.two_level:
+        return None, z2
+    g1 = _encode_z1_prepared(h, z2, params)
+    return g1, draw(g1)
 
 
 def prior_z1(z2, params):
     """Learned conditional prior over the lower latent, given z2."""
     if not params.config.two_level:
         raise ConfigError("prior_z1 requires a two_level model")
-    z = z2.z if isinstance(z2, LatentSample) else z2
-    return _run_head(_run_trunk(z, params.prior_z1_net, params.config.gated),
+    return _run_head(_run_trunk(z2, params.prior_z1_net, params.config.gated),
                      params.prior_z1_head)
 
 
 def sample(g, rng=None, noise=None):
-    """Reparameterized draw from a diagonal Gaussian."""
+    """Reparameterized draw from a diagonal Gaussian:
+    mean + exp(log_var / 2) * noise."""
     if noise is None:
         if rng is None:
             raise ConfigError("sample needs an rng or explicit noise")
         noise = rng.standard_normal(g.mean.shape)
     eps = ad.constant(noise)
-    z = ad.add(g.mean, ad.mul(ad.exp(ad.scale(g.log_var, 0.5)), eps))
-    return LatentSample(z=z, params=g, noise=eps)
+    return ad.add(g.mean, ad.mul(ad.exp(ad.scale(g.log_var, 0.5)), eps))
 
 
 def decode(z1, z2, params):
     """Unnormalized logits over all items; two-level models concatenate
     both latents, flat models consume z1 alone."""
-    v1 = z1.z if isinstance(z1, LatentSample) else z1
-    if params.config.two_level:
+    cfg = params.config
+    if cfg.two_level:
         if z2 is None:
             raise ConfigError("two_level decode needs both latents")
-        v2 = z2.z if isinstance(z2, LatentSample) else z2
-        h = ad.concat_cols(v1, v2)
+        h, expected = ad.concat_cols(z1, z2), cfg.d_z1 + cfg.d_z2
     else:
-        h = v1
-    expected = (params.config.d_z1 + params.config.d_z2) if params.config.two_level \
-        else params.config.d_z2
+        h, expected = z1, cfg.d_z2
     if h.cols != expected:
         raise ConfigError(f"decode: latent width {h.cols}, expected {expected}")
-    h = _run_trunk(h, params.decoder, params.config.gated)
+    h = _run_trunk(h, params.decoder, cfg.gated)
     return ad.add(ad.matmul(h, params.head_out.W), params.head_out.b)
 
 
@@ -438,29 +428,26 @@ def kl_to_standard_normal(q):
 
 def gauss_log_density(z, g):
     """log N(z; g.mean, exp(g.log_var)) per row."""
-    zv = z.z if isinstance(z, LatentSample) else z
-    dz = ad.sub(zv, g.mean)
+    dz = ad.sub(z, g.mean)
     quad = ad.mul(ad.mul(dz, dz), ad.exp(ad.scale(g.log_var, -1.0)))
     inner = ad.add(ad.add_scalar(g.log_var, LOG_2PI), quad)
     return ad.scale(ad.sum_rows(inner), -0.5)
 
 
 def standard_normal_log_density(z):
-    zv = z.z if isinstance(z, LatentSample) else z
-    inner = ad.add_scalar(ad.mul(zv, zv), LOG_2PI)
+    inner = ad.add_scalar(ad.mul(z, z), LOG_2PI)
     return ad.scale(ad.sum_rows(inner), -0.5)
 
 
 def vamp_log_density(z, params):
     """Log density of the mixture-of-posteriors prior at each row of z.
 
-    Each of the K pseudo-inputs is encoded (evaluation mode, no dropout)
+    Each of the K pseudo-inputs is encoded (no dropout)
     into a diagonal Gaussian component; the result is
     logsumexp_k log N(z; mu_k, sigma_k^2) - log K, evaluated for the whole
     batch against all components at once.
     """
-    zv = z.z if isinstance(z, LatentSample) else z
-    return _mixture_log_density(zv, _vamp_components(params))
+    return _mixture_log_density(z, _vamp_components(params))
 
 
 def _vamp_components(params):
@@ -469,7 +456,7 @@ def _vamp_components(params):
         raise ConfigError("vamp_log_density requires a vamp-prior model")
     if params.pseudo_inputs is None or params.pseudo_inputs.rows < 1:
         raise ConfigError("vamp prior has no pseudo-inputs")
-    return encode_z2(params.pseudo_inputs, params, mode="eval")
+    return encode_z2(params.pseudo_inputs, params)
 
 
 def _mixture_log_density(zv, comp):
@@ -499,8 +486,11 @@ class ElboResult:
     kl_z2_ce: Matrix
 
 
-def elbo(x, params, beta, rng=None, mode="eval", dropout_rate=0.0, noise=None):
+def elbo(x, params, beta, rng=None, dropout_rate=0.0, noise=None):
     """Single-sample evidence lower bound, averaged over the batch rows.
+
+    The input entries are dropped at ``dropout_rate`` (see
+    ``prepare_input``); a rate of 0 drops nothing.
 
     ``noise`` optionally freezes the reparameterization draws: a dict with
     key "z2" (and "z1" for two-level models) of standard-normal arrays.
@@ -508,24 +498,20 @@ def elbo(x, params, beta, rng=None, mode="eval", dropout_rate=0.0, noise=None):
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must be in [0, 1], got {beta}")
-    _check_mode(mode)
     cfg = params.config
     x = as_batch(x)
     n = x.rows
     noise = noise or {}
 
-    h = prepare_input(x, mode, dropout_rate, rng)
+    h = prepare_input(x, dropout_rate, rng)
     g2 = _encode_z2_prepared(h, params)
     z2 = sample(g2, rng, noise.get("z2"))
 
-    if cfg.two_level:
-        g1 = _encode_z1_prepared(h, z2.z, params)
-        z1 = sample(g1, rng, noise.get("z1"))
-        kl1 = kl_diag_gauss(g1, prior_z1(z2, params))
-    else:
-        z1, kl1 = z2, ad.constant(np.zeros((n, 1)))
+    g1, z1 = _lower_latent(h, z2, params, lambda g: sample(g, rng, noise.get("z1")))
+    kl1 = (kl_diag_gauss(g1, prior_z1(z2, params)) if g1 is not None else
+           ad.constant(np.zeros((n, 1))))
     kl2 = (kl_to_standard_normal(g2) if cfg.prior == "standard" else
-           ad.sub(gauss_log_density(z2.z, g2), vamp_log_density(z2.z, params)))
+           ad.sub(gauss_log_density(z2, g2), vamp_log_density(z2, params)))
     logits = decode(z1, z2, params)
 
     recon = log_likelihood(logits, x, cfg.likelihood)
@@ -562,7 +548,7 @@ def elbo_decomposition(x, params, n_mc, rng):
         raise ConfigError("elbo_decomposition needs a non-empty batch")
     cfg = params.config
     x = as_batch(x)
-    h = prepare_input(x, "eval")
+    h = prepare_input(x)
     g2 = _encode_z2_prepared(h, params)
     entropy = float(np.mean(0.5 * np.sum(g2.log_var.data + 1.0 + LOG_2PI, axis=1)))
     # The prior's components do not depend on the draw: encode them once.
@@ -572,17 +558,13 @@ def elbo_decomposition(x, params, n_mc, rng):
     ce_draws = np.empty(n_mc)
     for s in range(n_mc):
         z2 = sample(g2, rng)
-        if cfg.two_level:
-            g1 = _encode_z1_prepared(h, z2.z, params)
-            z1 = sample(g1, rng)
-            logits = decode(z1, z2, params)
-        else:
-            logits = decode(z2, None, params)
+        _, z1 = _lower_latent(h, z2, params, partial(sample, rng=rng))
+        logits = decode(z1, z2, params)
         recon_draws[s] = log_likelihood(logits, x, cfg.likelihood).data.mean()
         if cfg.prior == "standard":
-            log_prior = standard_normal_log_density(z2.z)
+            log_prior = standard_normal_log_density(z2)
         else:
-            log_prior = _mixture_log_density(z2.z, comp)
+            log_prior = _mixture_log_density(z2, comp)
         ce_draws[s] = -log_prior.data.mean()
 
     def se(a):
@@ -600,16 +582,13 @@ def elbo_decomposition(x, params, n_mc, rng):
 
 def fold_in_latents(x, params):
     """Deterministic latents for scoring: posterior means, no dropout."""
-    h = prepare_input(x, "eval")
-    g2 = _encode_z2_prepared(h, params)
-    z2 = g2.mean
-    if params.config.two_level:
-        g1 = _encode_z1_prepared(h, z2, params)
-        return g1.mean, z2
-    return z2, z2
+    h = prepare_input(x)
+    z2 = _encode_z2_prepared(h, params).mean
+    _, z1 = _lower_latent(h, z2, params, lambda g: g.mean)
+    return z1, z2
 
 
 def score_items(x, params):
     """Decode logits from fold-in latents; the ranking scores for a batch."""
     z1, z2 = fold_in_latents(x, params)
-    return decode(z1, z2 if params.config.two_level else None, params)
+    return decode(z1, z2, params)

@@ -10,7 +10,7 @@ non-finite loss or gradient (best snapshot retained).
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -53,13 +53,7 @@ class TrainConfig:
         parse_metric(self.eval_metric)
 
     def to_dict(self):
-        return {
-            "batch_size": self.batch_size, "max_epochs": self.max_epochs,
-            "learning_rate": self.learning_rate, "beta_cap": self.beta_cap,
-            "anneal_steps": self.anneal_steps, "dropout_rate": self.dropout_rate,
-            "patience": self.patience, "seed": self.seed,
-            "eval_metric": self.eval_metric,
-        }
+        return asdict(self)
 
 
 def parse_metric(spec):
@@ -200,7 +194,7 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
                 params.zero_grad()
                 try:
                     with Tape() as tape:
-                        res = elbo(x, params, beta, rng=rng, mode="train",
+                        res = elbo(x, params, beta, rng=rng,
                                    dropout_rate=cfg.dropout_rate)
                         loss = ad.scale(res.elbo, -1.0)
                         if not math.isfinite(loss.item()):

@@ -213,7 +213,7 @@ def test_5_single_batch_overfit(capsys):
     for _ in range(500):
         params.zero_grad()
         with Tape() as tape:
-            res = elbo(xm, params, beta=0.0, rng=rng, mode="train")
+            res = elbo(xm, params, beta=0.0, rng=rng)
             tape.backward(ad.scale(res.elbo, -1.0))
         adam_step(params, state, lr=1e-2)
         recon = res.recon.item()

@@ -35,6 +35,27 @@ def read_tree(root):
     return out
 
 
+@pytest.fixture
+def other_split(tmp_path, capsys):
+    """A split of other ratings, whose vocabulary fingerprint differs from
+    the trained run's."""
+    other = archetype_interactions(n_users=80, n_items=50, n_archetypes=2,
+                                   seed=11, min_items=8, max_items=15)
+    ratings = tmp_path / "other.csv"
+    write_ratings_csv(other, str(ratings))
+    out = str(tmp_path / "split2")
+    assert main(["prepare", "--ratings", str(ratings), "--heldout-users",
+                 "10", "--out", out]) == 0
+    capsys.readouterr()
+    return out
+
+
+def assert_names_both_fingerprints(err, trained_run, split):
+    _, extra = load_checkpoint(os.path.join(trained_run, "model.ckpt"))
+    assert extra["vocab_fingerprint"] in err
+    assert vocab_fingerprint(load_split(split).vocab) in err
+
+
 class TestPrepare:
     def test_writes_all_split_files(self, split_dir):
         assert sorted(os.listdir(split_dir)) == sorted(SPLIT_FILES)
@@ -211,24 +232,13 @@ class TestEval:
         assert len(lines) == 1 + 15 * 2
 
     def test_vocab_mismatch_names_both_fingerprints(self, trained_run,
-                                                    tmp_path, capsys):
-        other = archetype_interactions(n_users=80, n_items=50, n_archetypes=2,
-                                       seed=11, min_items=8, max_items=15)
-        ratings2 = tmp_path / "other.csv"
-        write_ratings_csv(other, str(ratings2))
-        split2 = str(tmp_path / "split2")
-        assert main(["prepare", "--ratings", str(ratings2), "--heldout-users",
-                     "10", "--out", split2]) == 0
-        capsys.readouterr()
-
+                                                    other_split, tmp_path, capsys):
         code = main(["eval", "--checkpoint",
                      os.path.join(trained_run, "model.ckpt"),
-                     "--data", split2, "--out", str(tmp_path / "rep")])
+                     "--data", other_split, "--out", str(tmp_path / "rep")])
         assert code == 1
-        err = capsys.readouterr().err
-        _, extra = load_checkpoint(os.path.join(trained_run, "model.ckpt"))
-        assert extra["vocab_fingerprint"] in err
-        assert vocab_fingerprint(load_split(split2).vocab) in err
+        assert_names_both_fingerprints(capsys.readouterr().err, trained_run,
+                                       other_split)
 
     def test_non_integer_k_exits_1(self, trained_run, split_dir, tmp_path,
                                    capsys):
@@ -283,6 +293,13 @@ class TestRecommend:
         scores = [float(line.split("\t")[1]) for line in lines]
         assert not set(ids) & set(history)
         assert scores == sorted(scores, reverse=True)
+
+    def test_vocab_mismatch_exits_1_naming_both_fingerprints(
+            self, trained_run, other_split, capsys):
+        item = load_split(other_split).vocab[0]
+        assert self.run(trained_run, other_split, item) == 1
+        assert_names_both_fingerprints(capsys.readouterr().err, trained_run,
+                                       other_split)
 
     def test_matches_direct_scoring(self, trained_run, split_dir, capsys):
         ds = load_split(split_dir)

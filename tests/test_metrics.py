@@ -368,3 +368,10 @@ class TestBatchedEvaluate:
         users = [(iv(0, [0, 1]), iv(0, [2, 6]))]
         with pytest.raises(DataError, match="out of range"):
             evaluate(users, np.arange(6.0), ks=[2])
+
+    # -1 would mask item 5 by wrapping around, and 6 would index past the row.
+    @pytest.mark.parametrize("fold_in", [[-1], [6]])
+    def test_fold_in_index_out_of_range_rejected(self, fold_in):
+        users = [(iv(0, fold_in), iv(0, [4]))]
+        with pytest.raises(DataError, match="fold-in item index out of range"):
+            evaluate(users, np.arange(6.0), ks=[1])

@@ -225,7 +225,7 @@ class TestEncoders:
     def test_training_dropout_rescales_survivors(self):
         params = M.init_params(tiny_cfg(), np.random.default_rng(9))
         x = np.ones((1, 6))
-        h = M.prepare_input(mat(x), mode="train", dropout_rate=0.5,
+        h = M.prepare_input(mat(x), dropout_rate=0.5,
                             rng=np.random.default_rng(10))
         normalized = 1.0 / math.sqrt(6.0)
         for v in h.data.ravel():
@@ -234,7 +234,7 @@ class TestEncoders:
 
     def test_dropout_requires_rng(self):
         with pytest.raises(ConfigError):
-            M.prepare_input(mat(np.ones((1, 6))), mode="train", dropout_rate=0.5)
+            M.prepare_input(mat(np.ones((1, 6))), dropout_rate=0.5)
 
     def test_hierarchy_ops_rejected_on_flat(self):
         params = M.init_params(tiny_cfg(), np.random.default_rng(0))
@@ -265,27 +265,26 @@ class TestSample:
         noise = rng.standard_normal((4, 3))
         s = M.sample(g, noise=noise)
         expected = g.mean.data + np.exp(0.5 * g.log_var.data) * noise
-        assert np.array_equal(s.z.data, expected)
-        assert np.array_equal(s.noise.data, noise)
+        assert np.array_equal(s.data, expected)
 
     def test_seeded_rng_reproducible(self):
         g = M.GaussianParams(mean=mat(np.zeros((2, 3))), log_var=mat(np.zeros((2, 3))))
         a = M.sample(g, np.random.default_rng(42))
         b = M.sample(g, np.random.default_rng(42))
-        assert np.array_equal(a.z.data, b.z.data)
+        assert np.array_equal(a.data, b.data)
 
     def test_clamped_log_var_shrinks_noise(self):
         g = M.GaussianParams(mean=mat(np.ones((1, 4))),
                              log_var=mat(np.full((1, 4), -10.0)))
         noise = np.array([[1.0, -1.0, 2.0, -2.0]])
         s = M.sample(g, noise=noise)
-        assert np.allclose(s.z.data - 1.0, math.exp(-5.0) * noise)
+        assert np.allclose(s.data - 1.0, math.exp(-5.0) * noise)
 
     def test_monte_carlo_mean(self):
         n = 100_000
         g = M.GaussianParams(mean=mat(np.ones((n, 1))), log_var=mat(np.zeros((n, 1))))
         s = M.sample(g, np.random.default_rng(12))
-        assert abs(s.z.data.mean() - 1.0) < 0.02
+        assert abs(s.data.mean() - 1.0) < 0.02
 
 
 class TestLikelihoods:
@@ -521,6 +520,29 @@ class TestElbo:
         b = M.elbo(x, params, beta=0.7, noise=noise)
         assert a.elbo.item() == b.elbo.item()
 
+    def test_dropout_follows_dropout_rate_alone(self, monkeypatch):
+        cfg = tiny_cfg(prior="vamp", hierarchy="two_level")
+        params = M.init_params(cfg, np.random.default_rng(90))
+        x = random_binary(np.random.default_rng(91), 5, 6)
+        csr = CSRMatrix.from_dense(x)
+        # With both draws frozen, the rng feeds only the dropout.
+        noise = {"z2": np.random.default_rng(92).standard_normal((5, 3)),
+                 "z1": np.random.default_rng(93).standard_normal((5, 3))}
+        dropped = M.elbo(csr, params, 0.5, rng=np.random.default_rng(94),
+                         dropout_rate=0.5, noise=noise).elbo.item()
+        kept = M.elbo(csr, params, 0.5, rng=np.random.default_rng(94),
+                      noise=noise).elbo.item()
+        assert dropped != kept
+        # The training input: one uniform per stored value, survivors of the
+        # normalized row rescaled by 1 / (1 - rate).
+        keep = np.random.default_rng(94).random(csr.indices.size) >= 0.5
+        scale = 2.0 / np.sqrt(x.sum(axis=1))[csr.row_ids()]
+        real = M.prepare_input
+        monkeypatch.setattr(M, "prepare_input", lambda h, *a, **k: csr.with_data(
+            keep * scale) if h is csr else real(h, *a, **k))
+        by_hand = M.elbo(csr, params, 0.5, noise=noise).elbo.item()
+        assert dropped == pytest.approx(by_hand, rel=1e-12)
+
     @pytest.mark.parametrize("cell", [
         {"prior": "vamp", "hierarchy": "flat", "gated": True,
          "likelihood": "multinomial"},
@@ -541,7 +563,7 @@ class TestElbo:
                 "likelihood": "multinomial"}
         assert check_cell(cell, seed=0, corrupt=True) > 1e-4
 
-    # Backward steps one train-mode elbo call records per grid cell: one per
+    # Backward steps one elbo call with dropout records per grid cell: one per
     # primitive applied to a trainable operand. A change here changes what a
     # training step computes.
     # Either likelihood is one primitive, so the two likelihoods of a cell
@@ -570,8 +592,7 @@ class TestElbo:
         x[:, 0] = 1.0
         params = M.init_params(cfg, rng, train_matrix=x)
         with ad.Tape() as tape:
-            M.elbo(CSRMatrix.from_dense(x), params, 0.5, rng=rng, mode="train",
-                   dropout_rate=0.5)
+            M.elbo(CSRMatrix.from_dense(x), params, 0.5, rng=rng, dropout_rate=0.5)
         assert len(tape) == self.TAPE_OPS[name]
 
     @pytest.mark.parametrize("name,cell", grid_cells(),
@@ -589,8 +610,7 @@ class TestElbo:
 
         monkeypatch.setattr(CSRMatrix, "toarray", refuse)
         with ad.Tape() as tape:
-            out = M.elbo(batch, params, 0.5, rng=rng, mode="train",
-                         dropout_rate=0.5)
+            out = M.elbo(batch, params, 0.5, rng=rng, dropout_rate=0.5)
             tape.backward(ad.scale(out.elbo, -1.0))
         assert params.head_out.W.grad is not None
         assert params.encoder_z2[0].W.grad is not None
@@ -735,24 +755,22 @@ class TestSparseInput:
     def test_prepare_input_scales_and_drops_only_stored_values(self):
         x = random_binary(np.random.default_rng(82), 5, 12)
         csr = CSRMatrix.from_dense(x)
-        h = M.prepare_input(csr, mode="train", dropout_rate=0.5,
-                            rng=np.random.default_rng(83))
+        h = M.prepare_input(csr, dropout_rate=0.5, rng=np.random.default_rng(83))
         assert np.array_equal(h.indices, csr.indices)
         assert np.array_equal(h.indptr, csr.indptr)
         # One uniform per stored value, in storage order.
         keep = np.random.default_rng(83).random(csr.indices.size) >= 0.5
         scale = 2.0 / np.sqrt(x.sum(axis=1))[csr.row_ids()]
         np.testing.assert_allclose(h.data, keep * scale, rtol=1e-15, atol=0)
-        ev = M.prepare_input(csr, mode="eval")
+        ev = M.prepare_input(csr)
         np.testing.assert_allclose(
             ev.toarray(), x / np.linalg.norm(x, axis=1, keepdims=True), rtol=1e-15)
 
     def test_learnable_dense_input_takes_no_dropout(self):
         x = ad.Matrix(np.ones((2, 6)), requires_grad=True)
         with pytest.raises(ConfigError):
-            M.prepare_input(x, mode="train", dropout_rate=0.5,
-                            rng=np.random.default_rng(0))
-        h = M.prepare_input(x, mode="eval")
+            M.prepare_input(x, dropout_rate=0.5, rng=np.random.default_rng(0))
+        h = M.prepare_input(x)
         np.testing.assert_allclose(h.data, np.full((2, 6), 1.0 / math.sqrt(6.0)),
                                    rtol=1e-15)
 

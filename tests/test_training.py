@@ -324,7 +324,7 @@ class TestSingleBatchOverfit:
         for _ in range(steps):
             params.zero_grad()
             with Tape() as tape:
-                res = elbo(x, params, beta=0.0, rng=model_rng, mode="eval")
+                res = elbo(x, params, beta=0.0, rng=model_rng)
                 tape.backward(ad.scale(res.elbo, -1.0))
             adam_step(params, state, lr)
         return res.recon.item(), x, x_np
