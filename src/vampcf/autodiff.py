@@ -252,10 +252,6 @@ def exp(a):
     return _op(y, (a, lambda g: g * y))
 
 
-def log(a):
-    return _op(np.log(a.data), (a, lambda g: g / a.data))
-
-
 def softplus(a):
     return _op(K.softplus(a.data), (a, lambda g: K.softplus_bwd(a.data, g)))
 

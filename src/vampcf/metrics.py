@@ -20,8 +20,9 @@ from .model import ModelParams, score_items
 
 METRIC_NAMES = ("ndcg", "recall")
 
-# Rows ranked at once. At 20k items a block of negated scores plus its
-# partition indices is about 80 MB, whatever the batch size.
+# Users scored and ranked at once, so memory does not grow with the number
+# of users. At 20k items a block's scores, their negated copy and the
+# partition indices are about 120 MB.
 RANK_BLOCK_ROWS = 256
 
 
@@ -149,23 +150,29 @@ class MetricReport:
 
 
 def _make_scorer(scorer, n_items):
-    """(n_items, function from a list of fold-in vectors to their scores)."""
+    """(n_items, function from a block's fold-in CSR and vectors to its
+    scores)."""
     if isinstance(scorer, ModelParams):
         m = scorer.config.n_items
         if n_items is not None and n_items != m:
             raise ConfigError(f"model expects {m} items, split has {n_items}")
-        return m, lambda fold_in: score_items(
-            CSRMatrix.from_vectors(fold_in, m), scorer).data
+        return m, lambda x, fold_in: score_items(x, scorer).data
     if isinstance(scorer, np.ndarray):
         vec = np.asarray(scorer, dtype=np.float64).ravel()
         if n_items is not None and n_items != vec.size:
             raise ConfigError(f"score vector has {vec.size} items, split has {n_items}")
-        return vec.size, lambda fold_in: np.broadcast_to(vec, (len(fold_in), vec.size))
+        return vec.size, lambda x, fold_in: np.broadcast_to(vec, (x.rows, vec.size))
     if callable(scorer):
         if n_items is None:
             raise ConfigError("callable scorer needs explicit n_items")
-        return n_items, lambda fold_in: scorer(to_dense_batch(fold_in, n_items).data)
+        return n_items, lambda x, fold_in: scorer(to_dense_batch(fold_in, n_items).data)
     raise ConfigError(f"unsupported scorer type {type(scorer).__name__}")
+
+
+def _check_range(vectors, n_items, what):
+    idx = np.concatenate([v.item_indices for v in vectors])
+    if idx.size and (idx.min() < 0 or idx.max() >= n_items):
+        raise DataError(f"{what} item index out of range for {n_items} items")
 
 
 def _top_k_rows(neg, k):
@@ -188,60 +195,47 @@ def _top_k_rows(neg, k):
     return np.take_along_axis(top, order, axis=1)
 
 
-def _flat_rows(vectors):
-    """(row, column, row size) index arrays of a non-empty list of
-    interaction vectors, one row per vector."""
-    sizes = np.array([v.item_indices.size for v in vectors])
-    rows = np.repeat(np.arange(len(vectors)), sizes)
-    return rows, np.concatenate([v.item_indices for v in vectors]), sizes
-
-
-def _rank_block(scores, block, ks, ideal, discount):
-    """NDCG and recall, each (len(ks), len(block)), of a block of
-    (user, fold-in, heldout) triples ranked on their rows of ``scores``."""
-    n_rows, n_items = scores.shape
-    fi_rows, fi_cols, _ = _flat_rows([fi for _, fi, _ in block])
-    ho_rows, ho_cols, n_held = _flat_rows([ho for _, _, ho in block])
-    if ho_cols.min() < 0 or ho_cols.max() >= n_items:
-        raise DataError(f"heldout item index out of range for {n_items} items")
-    if fi_cols.size and (fi_cols.min() < 0 or fi_cols.max() >= n_items):
-        raise DataError(f"fold-in item index out of range for {n_items} items")
-    held = np.zeros((n_rows, n_items), dtype=bool)
-    held[ho_rows, ho_cols] = True
-    clash = held[fi_rows, fi_cols]
+def _rank_block(scores, fold_in, heldout, users, ks, ideal, discount):
+    """NDCG and recall, each (len(ks), rows), of a block of users ranked on
+    ``scores``; ``fold_in`` and ``heldout`` are the block's CSR rows and
+    ``users`` their user numbers."""
+    fi_rows = fold_in.row_ids()
+    held = np.zeros(scores.shape, dtype=bool)
+    held[heldout.row_ids(), heldout.indices] = True
+    clash = held[fi_rows, fold_in.indices]
     if clash.any():
-        u = block[fi_rows[np.argmax(clash)]][0]
-        raise DataError(f"user {u}: fold-in and heldout overlap")
+        raise DataError(f"user {users[fi_rows[np.argmax(clash)]]}: "
+                        "fold-in and heldout overlap")
     # A negated copy: the scorer's array stays untouched, and the fold-in
     # items sort after every finite score. Past a user's unmasked count the
     # top-k holds fold-in items, which are never hits.
     neg = np.negative(scores)
-    neg[fi_rows, fi_cols] = np.inf
+    neg[fi_rows, fold_in.indices] = np.inf
     top = _top_k_rows(neg, discount.size)
     hits = np.take_along_axis(held, top, axis=1).astype(np.float64)
     gains = hits / discount
-    capped = np.minimum.outer(ks, n_held)
+    capped = np.minimum.outer(ks, np.diff(heldout.indptr))
     ndcg = np.stack([gains[:, :k].sum(axis=1) for k in ks]) / ideal[capped]
     recall = np.stack([hits[:, :k].sum(axis=1) for k in ks]) / capped
     return ndcg, recall
 
 
-def evaluate(users, scorer, ks, n_items=None, batch_size=1024,
-             fingerprint="", keep_per_user=False):
+def evaluate(users, scorer, ks, n_items=None, fingerprint="",
+             keep_per_user=False):
     """Fold-in evaluation: infer latents from each user's fold-in items,
     score everything, mask the fold-in, and measure how well the heldout
     items rank. ``scorer`` is ModelParams, a static score vector, or a
     callable mapping a dense fold-in batch to a score matrix; the array it
     returns is never written to.
 
-    Each batch is ranked in blocks of ``RANK_BLOCK_ROWS`` rows with one
-    exact partial top-k, and every per-user value equals what
+    Users are scored and ranked in blocks of ``RANK_BLOCK_ROWS``, each with
+    one exact partial top-k, and every per-user value equals what
     ``ndcg_at_k`` / ``recall_at_k`` give on the same scores.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise ConfigError("Ks must be positive")
-    n_items, score_batch = _make_scorer(scorer, n_items)
+    n_items, score_block = _make_scorer(scorer, n_items)
     max_k = min(ks[-1], n_items)
     # The oracle's denominators: DCG of n straight hits, n = 0..max_k.
     ideal = np.array([_dcg(np.ones(n)) for n in range(max_k + 1)])
@@ -252,26 +246,28 @@ def evaluate(users, scorer, ks, n_items=None, batch_size=1024,
     n_skipped = len(users) - len(kept)
     if not kept:
         raise DataError("no evaluable users (all heldout sets empty)")
+    _check_range([fi for _, fi, _ in kept], n_items, "fold-in")
+    _check_range([ho for _, _, ho in kept], n_items, "heldout")
     # One contiguous row per (metric, K), so each mean and standard error
     # sums the same values in the same order as a list would.
     values = {m: np.empty((len(ks), len(kept))) for m in METRIC_NAMES}
 
-    for start in range(0, len(kept), batch_size):
-        chunk = kept[start:start + batch_size]
-        scores = np.asarray(score_batch([fi for _, fi, _ in chunk]), dtype=np.float64)
-        if scores.shape != (len(chunk), n_items):
+    for lo in range(0, len(kept), RANK_BLOCK_ROWS):
+        block_users, fold_in, heldout = zip(*kept[lo:lo + RANK_BLOCK_ROWS])
+        x = CSRMatrix.from_vectors(fold_in, n_items)
+        held = CSRMatrix.from_vectors(heldout, n_items)
+        scores = np.asarray(score_block(x, fold_in), dtype=np.float64)
+        if scores.shape != (x.rows, n_items):
             raise ConfigError(f"scorer returned {scores.shape}, "
-                              f"expected {(len(chunk), n_items)}")
+                              f"expected {(x.rows, n_items)}")
         # min and max propagate NaN, so both are finite only when every
-        # score is, and neither allocates a batch-sized mask.
+        # score is, and neither allocates a block-sized mask.
         if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
             raise NumericalError("scorer returned non-finite scores")
-        for lo in range(0, len(chunk), RANK_BLOCK_ROWS):
-            block = chunk[lo:lo + RANK_BLOCK_ROWS]
-            cols = slice(start + lo, start + lo + len(block))
-            values["ndcg"][:, cols], values["recall"][:, cols] = _rank_block(
-                scores[lo:lo + len(block)], block, ks, ideal, discount)
-        # Freed before the next batch is scored, not after.
+        cols = slice(lo, lo + x.rows)
+        values["ndcg"][:, cols], values["recall"][:, cols] = _rank_block(
+            scores, x, held, block_users, ks, ideal, discount)
+        # Freed before the next block is scored, not after.
         del scores
 
     per_user = []

@@ -213,8 +213,7 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
                 stopped = f"numerical: {aborted}"
                 break
 
-            report = evaluate(split.validation_users, params,
-                              ks=[metric_k], batch_size=2048)
+            report = evaluate(split.validation_users, params, ks=[metric_k])
             val = report.row(metric_name, metric_k).mean
             record = {
                 "epoch": epoch,

@@ -149,10 +149,11 @@ class TestGradCheck:
 
     def test_nonfinite_probe_raises(self):
         from vampcf.errors import NumericalError
-        x = Matrix([[0.0]], requires_grad=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # exp is finite at x but overflows one step of eps above it.
+        x = Matrix([[709.78]], requires_grad=True)
+        with np.errstate(over="ignore"):
             with pytest.raises(NumericalError):
-                grad_check(lambda: ad.log(x), x)
+                grad_check(lambda: ad.exp(x), x, eps=0.1)
 
 
 def _random_points(rng, n, shape, lo=-2.0, hi=2.0):
@@ -162,7 +163,7 @@ def _random_points(rng, n, shape, lo=-2.0, hi=2.0):
 
 PRIMITIVE_CASES = [
     "matmul", "add", "add_bias", "sub", "mul", "scale", "sigmoid", "tanh",
-    "exp", "log", "softplus", "logsumexp", "softmax_log", "sum_rows",
+    "exp", "softplus", "logsumexp", "softmax_log", "sum_rows",
     "clamp", "concat_cols", "transpose", "l2_normalize_rows",
     "split_cols", "split_cols_left_only", "split_cols_right_only",
     "multinomial_log_lik", "bernoulli_log_lik",
@@ -174,8 +175,6 @@ def test_primitive_gradients_at_100_random_points(name):
     """Every differentiable primitive agrees with central differences."""
     rng = np.random.default_rng(hash(name) % 2**32)
     for point in _random_points(rng, 100, (2, 3)):
-        if name == "log":
-            point = np.abs(point) + 0.5
         x = Matrix(point, requires_grad=True)
         w = Matrix(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
         b = Matrix(rng.uniform(-1, 1, size=(1, 3)), requires_grad=True)
@@ -209,9 +208,6 @@ def test_primitive_gradients_at_100_random_points(name):
             params = [x]
         elif name == "exp":
             f = lambda: ad.sum_all(ad.mul(ad.exp(x), probe))
-            params = [x]
-        elif name == "log":
-            f = lambda: ad.sum_all(ad.mul(ad.log(x), probe))
             params = [x]
         elif name == "softplus":
             f = lambda: ad.sum_all(ad.mul(ad.softplus(x), probe))
@@ -284,7 +280,6 @@ RECORDING_CASES = {
     "sigmoid": (ad.sigmoid, [(2, 3)]),
     "tanh": (ad.tanh, [(2, 3)]),
     "exp": (ad.exp, [(2, 3)]),
-    "log": (ad.log, [(2, 3)]),
     "softplus": (ad.softplus, [(2, 3)]),
     "clamp": (lambda a: ad.clamp(a, 0.3, 0.7), [(2, 3)]),
     "sum_all": (ad.sum_all, [(2, 3)]),

@@ -5,11 +5,13 @@ The brute-force reference below is built straight from the definitions
 code, so agreement is meaningful.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vampcf.data import InteractionVector, to_dense_batch
+from vampcf import metrics
+from vampcf.data import CSRMatrix, InteractionVector, to_dense_batch
 from vampcf.errors import ConfigError, DataError, NumericalError
 from vampcf.metrics import (MetricReport, evaluate, ndcg_at_k,
                             popularity_baseline, ranked_candidates, recall_at_k)
@@ -268,9 +270,42 @@ class TestEvaluate:
         assert 0.0 <= row.mean <= 1.0
 
 
+SCORER_KINDS = ["vector", "callable", "model"]
+
+
+def spy_score_items(monkeypatch):
+    """The list of batches that evaluate() hands the model from now on."""
+    batches = []
+    real = metrics.score_items
+
+    def spy(x, params):
+        batches.append(x)
+        return real(x, params)
+
+    monkeypatch.setattr(metrics, "score_items", spy)
+    return batches
+
+
+def counting_scorer(kind, monkeypatch, n_items=6):
+    """A scorer of the given kind over ``n_items`` items, and the list that
+    records each batch it scores (a score vector is never called)."""
+    if kind == "vector":
+        return np.arange(float(n_items)), []
+    if kind == "callable":
+        calls = []
+
+        def scorer(dense):
+            calls.append(dense)
+            return np.zeros(dense.shape)
+
+        return scorer, calls
+    cfg = ModelConfig(n_items=n_items, hidden=4, d_z1=2, d_z2=2)
+    return init_params(cfg, np.random.default_rng(0)), spy_score_items(monkeypatch)
+
+
 class TestBatchedEvaluate:
-    """evaluate() ranks whole batches at once; every per-user value must
-    equal the per-user oracle on the same scores."""
+    """evaluate() ranks whole blocks of users at once; every per-user value
+    must equal the per-user oracle on the same scores."""
 
     def tie_heavy_case(self, seed, n_users, m):
         rng = np.random.default_rng(seed)
@@ -307,39 +342,50 @@ class TestBatchedEvaluate:
             assert row.mean == pytest.approx(np.mean(vals), abs=1e-12)
         return report
 
-    def test_ties_across_batches_and_row_blocks(self):
-        # 600 users: batches of 512 + 88, and the first batch spans more
-        # than one ranking row block.
+    def test_ties_across_batches_and_row_blocks(self, monkeypatch):
+        # 600 users: blocks of 512 + 88.
+        monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 512)
         users, scores = self.tie_heavy_case(21, 600, 30)
-        self.assert_matches_oracle(users, scores, ks=[1, 3, 7, 25, 40],
-                                   batch_size=512)
+        self.assert_matches_oracle(users, scores, ks=[1, 3, 7, 25, 40])
 
-    def test_largest_k_above_item_count(self):
+    def test_largest_k_above_item_count(self, monkeypatch):
+        monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 16)
         users, scores = self.tie_heavy_case(22, 40, 9)
-        self.assert_matches_oracle(users, scores, ks=[2, 9, 50], batch_size=16)
+        self.assert_matches_oracle(users, scores, ks=[2, 9, 50])
 
     def test_all_scores_tied(self):
         users, _ = self.tie_heavy_case(23, 50, 20)
         self.assert_matches_oracle(users, np.zeros((50, 20)), ks=[1, 5, 10])
 
-    def test_distinct_scores(self):
+    def test_distinct_scores(self, monkeypatch):
+        monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 32)
         users, _ = self.tie_heavy_case(24, 70, 25)
         scores = np.random.default_rng(25).normal(size=(70, 25))
-        self.assert_matches_oracle(users, scores, ks=[3, 10], batch_size=32)
+        self.assert_matches_oracle(users, scores, ks=[3, 10])
 
     @pytest.mark.parametrize("hierarchy", ["flat", "two_level"])
-    def test_model_on_csr_matches_oracle_on_dense_batch(self, hierarchy):
-        # evaluate() hands the model CSR fold-in batches; the oracle ranks
+    def test_model_on_csr_matches_oracle_on_dense_batch(self, hierarchy, monkeypatch):
+        # evaluate() hands the model CSR fold-in blocks; the oracle ranks
         # scores of the same users from one dense batch.
+        monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 32)
         users, _ = self.tie_heavy_case(28, 90, 30)
         cfg = ModelConfig(n_items=30, prior="vamp", hierarchy=hierarchy,
                           hidden=8, d_z1=4, d_z2=4, n_pseudo=3)
         params = init_params(cfg, np.random.default_rng(29))
         scores = score_items(to_dense_batch([fi for fi, _ in users], 30), params).data
-        self.assert_matches_oracle(users, scores, ks=[1, 5, 20], scorer=params,
-                                   batch_size=32)
+        self.assert_matches_oracle(users, scores, ks=[1, 5, 20], scorer=params)
 
-    def test_scorer_output_left_unchanged(self):
+    def test_model_scored_in_csr_blocks_of_rank_block_rows(self, monkeypatch):
+        users, _ = self.tie_heavy_case(30, 600, 30)
+        params = init_params(ModelConfig(n_items=30, hidden=8, d_z1=4, d_z2=4),
+                             np.random.default_rng(31))
+        batches = spy_score_items(monkeypatch)
+        evaluate(users, params, ks=[5])
+        assert [x.rows for x in batches] == [256, 256, 88]
+        assert all(isinstance(x, CSRMatrix) for x in batches)
+
+    def test_scorer_output_left_unchanged(self, monkeypatch):
+        monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 8)
         users, scores = self.tie_heavy_case(26, 30, 12)
         returned = []
 
@@ -348,7 +394,7 @@ class TestBatchedEvaluate:
             returned.append((out, out.copy()))
             return out
 
-        evaluate(users, scorer, ks=[3, 5], n_items=12, batch_size=8)
+        evaluate(users, scorer, ks=[3, 5], n_items=12)
         assert len(returned) == 4
         for out, before in returned:
             assert np.array_equal(out, before)
@@ -371,7 +417,48 @@ class TestBatchedEvaluate:
 
     # -1 would mask item 5 by wrapping around, and 6 would index past the row.
     @pytest.mark.parametrize("fold_in", [[-1], [6]])
-    def test_fold_in_index_out_of_range_rejected(self, fold_in):
-        users = [(iv(0, fold_in), iv(0, [4]))]
+    @pytest.mark.parametrize("kind", SCORER_KINDS)
+    def test_fold_in_index_out_of_range_rejected(self, kind, fold_in, monkeypatch):
+        # The bad user sits in the second block: nothing is scored first.
+        monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 1)
+        users = [(iv(0, [1]), iv(0, [2])), (iv(1, fold_in), iv(1, [4]))]
+        scorer, calls = counting_scorer(kind, monkeypatch)
         with pytest.raises(DataError, match="fold-in item index out of range"):
-            evaluate(users, np.arange(6.0), ks=[1])
+            evaluate(users, scorer, ks=[1], n_items=6)
+        assert calls == []
+
+    @pytest.mark.parametrize("heldout", [[-1], [6]])
+    @pytest.mark.parametrize("kind", SCORER_KINDS)
+    def test_heldout_index_out_of_range_rejected_before_scoring(
+            self, kind, heldout, monkeypatch):
+        monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 1)
+        users = [(iv(0, [1]), iv(0, [2])), (iv(1, [3]), iv(1, heldout))]
+        scorer, calls = counting_scorer(kind, monkeypatch)
+        with pytest.raises(DataError, match="heldout item index out of range"):
+            evaluate(users, scorer, ks=[1], n_items=6)
+        assert calls == []
+
+
+def test_evaluate_holds_only_a_few_blocks_of_scores():
+    # 1,500 users at 20k items: one batch of all their scores would be
+    # 240 MB. Each block of RANK_BLOCK_ROWS users is scored and ranked
+    # alone, so the peak is a few block-sized arrays (41 MB each here)
+    # whatever the user count.
+    n_users, n_items = 1500, 20000
+    rng = np.random.default_rng(0)
+
+    def fold(u):
+        fold_in, heldout = np.split(rng.choice(n_items, 12, replace=False), [8])
+        return iv(u, fold_in), iv(u, heldout)
+
+    users = [fold(u) for u in range(n_users)]
+    tracemalloc.start()
+    try:
+        report = evaluate(users, lambda dense: dense + 1.0, ks=[100],
+                          n_items=n_items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_users == n_users
+    block_bytes = metrics.RANK_BLOCK_ROWS * n_items * 8
+    assert peak < 5 * block_bytes, f"peak {peak / 2**20:.0f} MB"
