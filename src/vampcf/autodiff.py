@@ -5,7 +5,10 @@ matrices). It is C-contiguous, except that the halves from ``split_cols``
 are column views of their source; no operation writes into its operands.
 With no active ``Tape`` every primitive is a plain numpy computation, which
 is the evaluation fast path. ``Tape.backward`` replays the recorded steps in
-reverse, accumulating into ``Matrix.grad``.
+reverse, accumulating into ``Matrix.grad``. A tape replays once: each step
+is dropped as soon as it has run, and with it the forward values it read
+and the gradient of its result, so a backward pass holds only what the
+steps still to run will read.
 
 Every primitive records itself by one rule, in ``_op``: when a tape is
 active and at least one operand requires a gradient, the result requires
@@ -29,7 +32,7 @@ import math
 import numpy as np
 
 from . import kernels as K
-from .errors import NumericalError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 
 _ACTIVE = None
 
@@ -39,6 +42,7 @@ class Tape:
 
     def __init__(self):
         self._ops = []
+        self._replayed = False
 
     def __enter__(self):
         global _ACTIVE
@@ -55,12 +59,20 @@ class Tape:
         return len(self._ops)
 
     def backward(self, out):
-        """Seed d(out)/d(out) = 1 and replay the tape once, in reverse."""
+        """Seed d(out)/d(out) = 1 and replay the tape once, in reverse.
+
+        Each step is popped off the tape before it runs, so it is freed as
+        soon as it returns; a second call raises ``ConfigError``.
+        """
+        if self._replayed:
+            raise ConfigError("a tape replays once")
         if out.shape != (1, 1):
             raise ShapeError(f"backward needs a 1x1 scalar, got {out.shape}")
+        self._replayed = True
         out.grad = np.ones((1, 1))
-        for fn in reversed(self._ops):
-            fn()
+        ops = self._ops
+        while ops:
+            ops.pop()()
 
 
 class Matrix:

@@ -169,10 +169,23 @@ def _make_scorer(scorer, n_items):
     raise ConfigError(f"unsupported scorer type {type(scorer).__name__}")
 
 
-def _check_range(vectors, n_items, what):
-    idx = np.concatenate([v.item_indices for v in vectors])
-    if idx.size and (idx.min() < 0 or idx.max() >= n_items):
-        raise DataError(f"{what} item index out of range for {n_items} items")
+def _check_users(kept, n_items):
+    """Before anything is scored, raise ``DataError`` for an item index
+    outside [0, n_items), then for the first kept user whose fold-in and
+    heldout items overlap."""
+    keys = []
+    for what, side in (("fold-in", 1), ("heldout", 2)):
+        vectors = [user[side] for user in kept]
+        idx = np.concatenate([v.item_indices for v in vectors])
+        if idx.size and (idx.min() < 0 or idx.max() >= n_items):
+            raise DataError(f"{what} item index out of range for {n_items} items")
+        pos = np.repeat(np.arange(len(vectors), dtype=np.int64),
+                        [v.item_indices.size for v in vectors])
+        keys.append(pos * n_items + idx)
+    both = np.intersect1d(*keys)
+    if both.size:
+        raise DataError(f"user {kept[both[0] // n_items][0]}: "
+                        "fold-in and heldout overlap")
 
 
 def _top_k_rows(neg, k):
@@ -195,17 +208,13 @@ def _top_k_rows(neg, k):
     return np.take_along_axis(top, order, axis=1)
 
 
-def _rank_block(scores, fold_in, heldout, users, ks, ideal, discount):
+def _rank_block(scores, fold_in, heldout, ks, ideal, discount):
     """NDCG and recall, each (len(ks), rows), of a block of users ranked on
-    ``scores``; ``fold_in`` and ``heldout`` are the block's CSR rows and
-    ``users`` their user numbers."""
+    ``scores``; ``fold_in`` and ``heldout`` are the block's disjoint CSR
+    rows."""
     fi_rows = fold_in.row_ids()
     held = np.zeros(scores.shape, dtype=bool)
     held[heldout.row_ids(), heldout.indices] = True
-    clash = held[fi_rows, fold_in.indices]
-    if clash.any():
-        raise DataError(f"user {users[fi_rows[np.argmax(clash)]]}: "
-                        "fold-in and heldout overlap")
     # A negated copy: the scorer's array stays untouched, and the fold-in
     # items sort after every finite score. Past a user's unmasked count the
     # top-k holds fold-in items, which are never hits.
@@ -246,14 +255,13 @@ def evaluate(users, scorer, ks, n_items=None, fingerprint="",
     n_skipped = len(users) - len(kept)
     if not kept:
         raise DataError("no evaluable users (all heldout sets empty)")
-    _check_range([fi for _, fi, _ in kept], n_items, "fold-in")
-    _check_range([ho for _, _, ho in kept], n_items, "heldout")
+    _check_users(kept, n_items)
     # One contiguous row per (metric, K), so each mean and standard error
     # sums the same values in the same order as a list would.
     values = {m: np.empty((len(ks), len(kept))) for m in METRIC_NAMES}
 
     for lo in range(0, len(kept), RANK_BLOCK_ROWS):
-        block_users, fold_in, heldout = zip(*kept[lo:lo + RANK_BLOCK_ROWS])
+        _, fold_in, heldout = zip(*kept[lo:lo + RANK_BLOCK_ROWS])
         x = CSRMatrix.from_vectors(fold_in, n_items)
         held = CSRMatrix.from_vectors(heldout, n_items)
         scores = np.asarray(score_block(x, fold_in), dtype=np.float64)
@@ -266,7 +274,7 @@ def evaluate(users, scorer, ks, n_items=None, fingerprint="",
             raise NumericalError("scorer returned non-finite scores")
         cols = slice(lo, lo + x.rows)
         values["ndcg"][:, cols], values["recall"][:, cols] = _rank_block(
-            scores, x, held, block_users, ks, ideal, discount)
+            scores, x, held, ks, ideal, discount)
         # Freed before the next block is scored, not after.
         del scores
 

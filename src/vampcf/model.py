@@ -141,10 +141,17 @@ class ModelParams:
     def copy(self):
         """Deep copy of all parameter arrays (gradients are not copied)."""
         dup = empty_params(replace(self.config))
-        src = self.named_parameters()
-        for name, m in dup.named_parameters().items():
-            np.copyto(m.data, src[name].data)
+        dup.copy_from(self)
         return dup
+
+    def copy_from(self, other):
+        """Overwrite every parameter array in place with ``other``'s, which
+        must have the same config (gradients are not copied)."""
+        if other.config != self.config:
+            raise ConfigError("copy_from needs parameters of the same config")
+        src = other.named_parameters()
+        for name, m in self.named_parameters().items():
+            np.copyto(m.data, src[name].data)
 
 
 def _glorot(rng, fan_in, fan_out, blocks=1):

@@ -2,8 +2,9 @@
 
 Each epoch shuffles the training users with the run's rng, walks
 minibatches of the negated objective, then scores the validation users
-with the ranking metric named in the config. The best-scoring parameter
-snapshot is kept; training stops when the metric has not improved for
+with the ranking metric named in the config. The best-scoring parameters
+are kept in one snapshot buffer, refilled in place at each improving
+epoch; training stops when the metric has not improved for
 ``patience`` consecutive epochs, at ``max_epochs``, or on the first
 non-finite loss or gradient (best snapshot retained).
 """
@@ -191,7 +192,6 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
             for rows in _batches(order, cfg.batch_size):
                 beta = beta_at(step, cfg)
                 x = train_matrix.take_rows(rows)
-                params.zero_grad()
                 try:
                     with Tape() as tape:
                         res = elbo(x, params, beta, rng=rng,
@@ -202,6 +202,8 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
                                 f"non-finite loss at epoch {epoch} step {step}")
                         tape.backward(loss)
                     grad_norm_sum += adam_step(params, state, cfg.learning_rate)
+                    # Gone before the next forward, validation and snapshot.
+                    params.zero_grad()
                 except NumericalError as e:
                     aborted = str(e)
                     break
@@ -231,7 +233,8 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
                 progress(record)
 
             if val > best_metric:
-                best_metric, best_params, best_epoch = val, params.copy(), epoch
+                best_metric, best_epoch = val, epoch
+                best_params.copy_from(params)
             if epoch - best_epoch >= cfg.patience:
                 stopped = "early_stopping"
                 break

@@ -1,13 +1,14 @@
 """Tests for the dense matrix type, the gradient tape, and grad_check."""
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from vampcf import autodiff as ad
 from vampcf.autodiff import Matrix, Tape, grad_check
-from vampcf.errors import ShapeError
+from vampcf.errors import ConfigError, ShapeError
 
 
 def matmul_oracle(a, b):
@@ -111,6 +112,33 @@ class TestTape:
             tape._ops = [lambda fn=fn: (calls.append(1), fn())[1] for fn in tape._ops]
             tape.backward(out)
         assert len(calls) == n_ops
+
+    def test_backward_frees_each_step_it_has_replayed(self):
+        # Only the tape keeps h's array alive once the name is gone; the
+        # step that read it is dropped as soon as it has run.
+        a = Matrix([[0.5, -1.0]], requires_grad=True)
+        with Tape() as tape:
+            h = ad.tanh(a)
+            out = ad.sum_all(ad.mul(h, h))
+            probe = weakref.ref(h.data)
+            del h
+            assert probe() is not None
+            tape.backward(out)
+            assert probe() is None
+        assert len(tape) == 0
+        np.testing.assert_allclose(
+            a.grad, 2.0 * np.tanh(a.data) * (1.0 - np.tanh(a.data) ** 2),
+            atol=1e-15)
+
+    def test_a_tape_replays_once(self):
+        a = Matrix([[0.5]], requires_grad=True)
+        with Tape() as tape:
+            out = ad.sum_all(ad.exp(a))
+            tape.backward(out)
+            grad = a.grad.copy()
+            with pytest.raises(ConfigError, match="a tape replays once"):
+                tape.backward(out)
+        np.testing.assert_array_equal(a.grad, grad)
 
     def test_unused_parameter_grad_is_zero(self):
         used = Matrix([[1.0]], requires_grad=True)

@@ -410,6 +410,17 @@ class TestBatchedEvaluate:
         with pytest.raises(DataError, match="user 1"):
             evaluate(users, np.arange(6.0), ks=[2])
 
+    @pytest.mark.parametrize("kind", ["callable", "model"])
+    def test_overlap_in_a_late_block_rejected_before_scoring(self, kind, monkeypatch):
+        # 600 good users fill two blocks and most of a third; user 600
+        # shares item 3 between fold-in and heldout.
+        users = [(iv(u, [0, 1]), iv(u, [2])) for u in range(600)]
+        users.append((iv(600, [1, 3]), iv(600, [3, 4])))
+        scorer, calls = counting_scorer(kind, monkeypatch)
+        with pytest.raises(DataError, match="user 600: fold-in and heldout overlap"):
+            evaluate(users, scorer, ks=[1], n_items=6)
+        assert calls == []
+
     def test_heldout_index_out_of_range_rejected(self):
         users = [(iv(0, [0, 1]), iv(0, [2, 6]))]
         with pytest.raises(DataError, match="out of range"):

@@ -117,6 +117,22 @@ class TestModelConfig:
             for other in src.values():
                 assert not np.shares_memory(m.data, other.data), name
 
+    def test_copy_from_refills_in_place(self):
+        cfg = tiny_cfg(prior="vamp", hierarchy="two_level")
+        params = M.init_params(cfg, np.random.default_rng(0))
+        buf = M.init_params(cfg, np.random.default_rng(1))
+        arrays = {n: m.data for n, m in buf.named_parameters().items()}
+        buf.copy_from(params)
+        for name, m in buf.named_parameters().items():
+            assert m.data is arrays[name], name
+            assert np.array_equal(m.data, params.named_parameters()[name].data), name
+
+    def test_copy_from_other_config_rejected(self):
+        params = M.init_params(tiny_cfg(prior="vamp"), np.random.default_rng(0))
+        other = M.init_params(tiny_cfg(prior="standard"), np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="same config"):
+            params.copy_from(other)
+
     @pytest.mark.parametrize("gated", [True, False])
     def test_fused_init_blocks_are_consecutive_glorot_draws(self, gated):
         """Each column block is the Glorot draw the separate W/V (or

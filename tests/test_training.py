@@ -296,6 +296,33 @@ class TestTrainLoop:
         for p in result.params.named_parameters().values():
             assert np.all(np.isfinite(p.data))
 
+    def test_snapshot_holds_the_best_epochs_parameters(self):
+        # At this learning rate validation peaks at epoch 2 of 6: the one
+        # snapshot buffer is refilled at epochs 0, 1 and 2, then kept.
+        cfg = dict(learning_rate=0.03, max_epochs=6, patience=10)
+        result = train(tiny_split(), tiny_model_cfg(), tiny_train_cfg(**cfg))
+        assert 0 < result.best_epoch < result.epochs_run - 1
+        cfg["max_epochs"] = result.best_epoch + 1
+        cut = train(tiny_split(), tiny_model_cfg(), tiny_train_cfg(**cfg))
+        assert cut.best_epoch == result.best_epoch
+        best = result.params.named_parameters()
+        for name, m in cut.params.named_parameters().items():
+            assert np.array_equal(best[name].data, m.data), name
+
+    def test_validation_sees_no_parameter_gradients(self, monkeypatch):
+        # Each step drops its gradients right after the Adam update.
+        held = []
+        real = training.evaluate
+
+        def spy(users, params, **kw):
+            held.append([n for n, p in params.named_parameters().items()
+                         if p.grad is not None])
+            return real(users, params, **kw)
+
+        monkeypatch.setattr(training, "evaluate", spy)
+        train(tiny_split(), tiny_model_cfg(), tiny_train_cfg(max_epochs=2))
+        assert held == [[], []]
+
     def test_log_file_is_json_lines(self, tmp_path):
         import json
         path = tmp_path / "train.jsonl"
@@ -345,11 +372,9 @@ class TestSingleBatchOverfit:
         assert recon > -0.01
 
 
-def test_train_holds_no_users_by_items_matrix():
-    # A tall, narrow split: the dense users x items float64 matrix would be
-    # 640 MB. Training reads CSR batches, so what remains is a few
-    # batch x items arrays of the decoder side (about 10 MB each here).
-    n_users, n_items = 4000, 20000
+def random_split(n_users, n_items):
+    """``n_users`` training users with 20 random items each, and 20
+    validation users with 8 fold-in and 4 heldout items."""
     rng = np.random.default_rng(0)
 
     def items(n):
@@ -360,11 +385,19 @@ def test_train_holds_no_users_by_items_matrix():
         return (InteractionVector(u, np.sort(fold_in)),
                 InteractionVector(u, np.sort(heldout)))
 
-    ds = DatasetSplit(vocab=[str(i) for i in range(n_items)],
-                      train_users=[InteractionVector(u, np.sort(items(20)))
-                                   for u in range(n_users)],
-                      validation_users=[fold(u) for u in range(20)],
-                      test_users=[], seed=0)
+    return DatasetSplit(vocab=[str(i) for i in range(n_items)],
+                        train_users=[InteractionVector(u, np.sort(items(20)))
+                                     for u in range(n_users)],
+                        validation_users=[fold(u) for u in range(20)],
+                        test_users=[], seed=0)
+
+
+def test_train_holds_no_users_by_items_matrix():
+    # A tall, narrow split: the dense users x items float64 matrix would be
+    # 640 MB. Training reads CSR batches, so what remains is a few
+    # batch x items arrays of the decoder side (about 10 MB each here).
+    n_users, n_items = 4000, 20000
+    ds = random_split(n_users, n_items)
     mc = ModelConfig(n_items=n_items, prior="standard", hierarchy="flat",
                      gated=False, hidden=8, d_z1=8, d_z2=8)
     tc = tiny_train_cfg(batch_size=64, max_epochs=1)
@@ -377,3 +410,27 @@ def test_train_holds_no_users_by_items_matrix():
     assert result.epochs_run == 1
     dense_bytes = n_users * n_items * 8
     assert peak < dense_bytes / 4, f"peak {peak / 2**20:.0f} MB"
+
+
+def test_train_peak_is_a_few_copies_of_the_parameters():
+    # Wide layers and a small batch, so that parameter-sized arrays
+    # dominate. What train() must hold: the parameters, Adam's two moments,
+    # the best snapshot, and one step's gradients while it runs. Each step
+    # frees its gradients and tape before validation and the snapshot, and
+    # the snapshot is refilled in place, so the peak stays near five
+    # copies (5.1-5.3x here); holding them through the epoch's end, with a
+    # new snapshot beside the old one, took it to 6.1-6.3x.
+    ds = random_split(32, 1000)
+    mc = ModelConfig(n_items=1000, prior="standard", hierarchy="flat",
+                     gated=False, hidden=400, d_z1=8, d_z2=8)
+    tc = TrainConfig(batch_size=8, max_epochs=2, eval_metric="ndcg@10")
+    tracemalloc.start()
+    try:
+        result = train(ds, mc, tc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.epochs_run == 2
+    param_bytes = sum(p.data.nbytes for p in
+                      result.params.named_parameters().values())
+    assert peak < 5.75 * param_bytes, f"peak {peak / param_bytes:.2f}x parameters"
