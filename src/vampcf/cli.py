@@ -79,8 +79,8 @@ def cmd_prepare(args):
 
 
 def _resolve_split_dir(args, cfg):
-    """``--data``, else the config's ``data.split_dir``; ``cfg`` may be None."""
-    split_dir = args.data or (cfg.data.get("split_dir") if cfg else None)
+    """``--data``, else the config's ``data.split_dir``."""
+    split_dir = args.data or cfg.data.get("split_dir")
     if not split_dir:
         raise ConfigError("no split directory: pass --data or set data.split_dir")
     return split_dir
@@ -131,8 +131,7 @@ def _parse_ks(text):
 
 def cmd_eval(args):
     ks = _parse_ks(args.ks)
-    cfg = load_config(args.config, args.set) if args.config or args.set \
-        else None
+    cfg = load_config(args.config, args.set)
     split_dir = _resolve_split_dir(args, cfg)
     params, extra = load_checkpoint(args.checkpoint)
     ds = load_split(split_dir)
@@ -147,7 +146,8 @@ def cmd_eval(args):
     _write_atomic(base + ".json", report.to_json())
     _write_atomic(base + ".txt", report.to_text())
     if args.csv:
-        report.write_csv(args.csv)
+        report.write_csv(args.csv + ".partial")
+        os.replace(args.csv + ".partial", args.csv)
     print(report.to_text(), end="")
     print(f"report written to {base}.json")
     return 0

@@ -1,12 +1,15 @@
 """Run configuration: sectioned key=value files plus --set overrides.
 
-Three sections: [model] (architecture grid), [train] (optimizer and
-schedule), [data] (the split directory). Every key is typed and
-validated before any command does work; unknown sections or keys are
-rejected outright so typos cannot silently fall back to defaults.
+Three sections. [model] and [train] take one key per field of
+ModelConfig and TrainConfig, parsed by the field's type: the model key
+``k`` is the field ``n_pseudo``, and ``n_items`` is no key because it
+comes from the split. [data] takes one key, ``split_dir``. Every key is
+typed and validated before any command does work; an unparsable file,
+an unknown section ([DEFAULT] included) or an unknown key is a
+ConfigError, so typos cannot silently fall back to defaults.
 """
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .model import ModelConfig
@@ -22,18 +25,6 @@ def _bool(raw):
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _int(raw):
-    return int(raw.strip())
-
-
-def _float(raw):
-    return float(raw.strip())
-
-
-def _str(raw):
-    return raw.strip()
-
-
 def _auto_int(raw):
     v = raw.strip().lower()
     if v in ("auto", "none", ""):
@@ -41,53 +32,37 @@ def _auto_int(raw):
     return int(v)
 
 
-def _opt_str(raw):
-    v = raw.strip()
-    return v or None
+def _parser(annotation):
+    if annotation is bool:
+        return _bool
+    if annotation == int | None:
+        return _auto_int
+    return lambda raw: annotation(raw.strip())
 
 
-# key -> parser. A key left out takes the default of its ModelConfig or
-# TrainConfig field; the model key ``k`` is the field ``n_pseudo``.
-MODEL_KEYS = {
-    "prior": _str,
-    "hierarchy": _str,
-    "likelihood": _str,
-    "gated": _bool,
-    "depth": _int,
-    "hidden": _int,
-    "d_z1": _int,
-    "d_z2": _int,
-    "k": _int,
+def _keys(cls, skip=(), spelled=None):
+    """key -> (field name, parser) for each field of the dataclass ``cls``."""
+    spelled = spelled or {}
+    return {spelled.get(f.name, f.name): (f.name, _parser(f.type))
+            for f in fields(cls) if f.name not in skip}
+
+
+# A key left out takes the default of its field.
+SECTIONS = {
+    "model": _keys(ModelConfig, skip=("n_items",), spelled={"n_pseudo": "k"}),
+    "train": _keys(TrainConfig),
+    "data": {"split_dir": ("split_dir", str.strip)},
 }
-
-TRAIN_KEYS = {
-    "batch_size": _int,
-    "max_epochs": _int,
-    "learning_rate": _float,
-    "beta_cap": _float,
-    "anneal_steps": _auto_int,
-    "dropout_rate": _float,
-    "patience": _int,
-    "seed": _int,
-    "eval_metric": _str,
-}
-
-DATA_KEYS = {
-    "split_dir": _opt_str,
-}
-
-SECTIONS = {"model": MODEL_KEYS, "train": TRAIN_KEYS, "data": DATA_KEYS}
 
 
 @dataclass
 class RunConfig:
-    model: dict  # the [model] keys given, parsed
+    model: dict  # ModelConfig field -> value, for the [model] keys given
     train: TrainConfig
     data: dict   # the [data] keys given, parsed
 
     def model_config(self, n_items):
-        return ModelConfig(n_items=n_items, **{
-            "n_pseudo" if key == "k" else key: v for key, v in self.model.items()})
+        return ModelConfig(n_items=n_items, **self.model)
 
 
 def _apply_overrides(cp, overrides):
@@ -108,9 +83,14 @@ def load_config(path=None, overrides=()):
 
     Every value is validated here, before any command side effects.
     """
-    cp = configparser.ConfigParser(interpolation=None)
+    # No header can name the empty section, so [DEFAULT] is an ordinary
+    # section, rejected below, instead of one whose keys leak into all.
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     if path is not None:
-        read = cp.read(path)
+        try:
+            read = cp.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot parse config file {path}: {e}") from e
         if not read:
             raise ConfigError(f"cannot read config file {path}")
     _apply_overrides(cp, overrides)
@@ -123,18 +103,16 @@ def load_config(path=None, overrides=()):
     for section, table in SECTIONS.items():
         values = {}
         present = dict(cp.items(section)) if cp.has_section(section) else {}
-        for key in present:
+        for key, raw in present.items():
             if key not in table:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        for key, parse in table.items():
-            if key in present:
-                try:
-                    values[key] = parse(present[key])
-                except ValueError as e:
-                    raise ConfigError(f"bad value for {section}.{key}: {e}") from e
+            name, parse = table[key]
+            try:
+                values[name] = parse(raw)
+            except ValueError as e:
+                raise ConfigError(f"bad value for {section}.{key}: {e}") from e
         parsed[section] = values
 
-    train_cfg = TrainConfig(**parsed["train"])
-    # construct a throwaway ModelConfig to validate grid choices eagerly
-    RunConfig(parsed["model"], train_cfg, parsed["data"]).model_config(n_items=1)
-    return RunConfig(model=parsed["model"], train=train_cfg, data=parsed["data"])
+    run = RunConfig(parsed["model"], TrainConfig(**parsed["train"]), parsed["data"])
+    run.model_config(n_items=1)  # validate the grid choices eagerly
+    return run

@@ -4,36 +4,35 @@ Builds a tiny model for every valid configuration cell, freezes the
 sampling noise, and compares tape gradients of -ELBO against central
 differences for every parameter entry (pseudo-inputs included).
 """
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-from .model import ModelConfig, elbo, init_params
+from .model import (HIERARCHIES, LIKELIHOODS, PRIORS, ModelConfig, elbo,
+                    init_params)
 
 TINY = {"n_items": 30, "hidden": 16, "d": 4, "n_pseudo": 3}
 TOLERANCE = 1e-4
 
 
 def grid_cells():
-    """All valid (name, config kwargs) cells of the model grid.
-
-    two_level requires the vamp prior, so the grid has 12 cells, not 16.
-    """
+    """All valid (name, config kwargs) cells of the model grid: the
+    combinations that ModelConfig accepts, 12 of the 16."""
     cells = []
-    for hierarchy in ("flat", "two_level"):
-        for prior in ("standard", "vamp"):
-            if hierarchy == "two_level" and prior != "vamp":
-                continue
-            for gated in (True, False):
-                for likelihood in ("multinomial", "bernoulli"):
-                    name = "-".join([
-                        hierarchy, prior, "gated" if gated else "ungated", likelihood])
-                    cells.append((name, {
-                        "prior": prior, "hierarchy": hierarchy,
-                        "gated": gated, "likelihood": likelihood,
-                    }))
+    for hierarchy, prior, gated, likelihood in itertools.product(
+            HIERARCHIES, PRIORS, (True, False), LIKELIHOODS):
+        cell = {"prior": prior, "hierarchy": hierarchy,
+                "gated": gated, "likelihood": likelihood}
+        try:
+            tiny_config(**cell)
+        except ConfigError:
+            continue
+        name = "-".join([
+            hierarchy, prior, "gated" if gated else "ungated", likelihood])
+        cells.append((name, cell))
     return cells
 
 

@@ -1,18 +1,20 @@
 """End-to-end command-line tests: prepare -> train -> eval -> recommend,
 plus exit-code mapping and override handling."""
 import ast
+import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import vampcf
-from vampcf import training
+from vampcf import metrics, training
 from vampcf.autodiff import Matrix
 from vampcf.checkpoint import load_checkpoint
 from vampcf.cli import main
@@ -230,6 +232,28 @@ class TestEval:
         lines = open(csv_path, encoding="utf-8").read().strip().split("\n")
         # header + one row per (user, metric, k): 15 users x {ndcg, recall}
         assert len(lines) == 1 + 15 * 2
+
+    def test_failed_csv_write_leaves_no_csv(self, trained_run, split_dir,
+                                           tmp_path, monkeypatch):
+        class FailsAfterHeader:
+            def __init__(self, f):
+                self.writer, self.rows = csv.writer(f), 0
+
+            def writerow(self, row):
+                if self.rows:
+                    raise OSError("disk full")
+                self.rows += 1
+                self.writer.writerow(row)
+
+        monkeypatch.setattr(metrics, "csv",
+                            SimpleNamespace(writer=FailsAfterHeader))
+        csv_path = tmp_path / "per_user.csv"
+        with pytest.raises(OSError, match="disk full"):
+            main(["eval", "--checkpoint",
+                  os.path.join(trained_run, "model.ckpt"),
+                  "--data", split_dir, "--ks", "10",
+                  "--out", str(tmp_path / "rep"), "--csv", str(csv_path)])
+        assert not csv_path.exists()
 
     def test_vocab_mismatch_names_both_fingerprints(self, trained_run,
                                                     other_split, tmp_path, capsys):
