@@ -7,6 +7,7 @@ deterministic so identical training runs produce identical bytes.
 """
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -19,8 +20,31 @@ from .model import ModelConfig, empty_params, init_params  # noqa: F401
 FORMAT_NAME = "vampcf-checkpoint-v2"
 
 
+def write_atomic(path, write):
+    """Make ``path`` by ``write(tmp)`` on ``tmp = path + ".partial"`` (a
+    file or a directory) and a rename over ``path``. A stale ``tmp`` is
+    removed first, and a failed write or rename removes ``tmp`` before
+    the error propagates, so no ``.partial`` is left behind."""
+    tmp = path + ".partial"
+    _remove(tmp)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        _remove(tmp)
+        raise
+    return path
+
+
+def _remove(path):
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    elif os.path.lexists(path):
+        os.remove(path)
+
+
 def save_checkpoint(path, params, extra=None):
-    """Write params to path atomically (tmp file + rename)."""
+    """Write params to path atomically (see ``write_atomic``)."""
     named = params.named_parameters()
     header = {
         "format": FORMAT_NAME,
@@ -29,14 +53,15 @@ def save_checkpoint(path, params, extra=None):
         "extra": extra or {},
     }
     line = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    tmp = path + ".partial"
-    with open(tmp, "wb") as f:
-        f.write(line.encode("utf-8") + b"\n")
-        for m in named.values():
-            # A view of the tensor's own buffer (a copy only on big-endian).
-            f.write(memoryview(np.ascontiguousarray(m.data, dtype="<f8")).cast("B"))
-    os.replace(tmp, path)
-    return path
+
+    def write(tmp):
+        with open(tmp, "wb") as f:
+            f.write(line.encode("utf-8") + b"\n")
+            for m in named.values():
+                # A view of the tensor's own buffer (a copy only on big-endian).
+                f.write(memoryview(np.ascontiguousarray(m.data, dtype="<f8")).cast("B"))
+
+    return write_atomic(path, write)
 
 
 def load_checkpoint(path):

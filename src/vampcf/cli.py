@@ -1,8 +1,9 @@
 """Command-line entry points: prepare, train, eval, recommend, gradcheck.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical failure. Artifacts are written atomically (.partial suffix
-until complete) so a failed run never leaves a plausible-looking output.
+Exit codes: 0 success, 1 usage or configuration error or an output that
+cannot be written, 2 data error, 3 numerical failure. Artifacts are
+written atomically (.partial suffix until complete, removed when the write
+fails) so a failed run never leaves a plausible-looking output.
 """
 import argparse
 import hashlib
@@ -10,8 +11,9 @@ import json
 import os
 import shutil
 import sys
+from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import load_config
 from .data import (CSRMatrix, InteractionVector, ingest, load_split, read_vocab,
                    save_split, split, vocab_fingerprint)
@@ -29,11 +31,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write_atomic(path, text):
-    tmp = path + ".partial"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
+def _write_text(path, text):
+    write_atomic(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
 
 
 def _config_fingerprint(model_config):
@@ -59,13 +58,13 @@ def cmd_prepare(args):
     ds = split(data, n_heldout_users=args.heldout_users,
                fold_in_fraction=args.fold_in_fraction, seed=args.seed)
     out = args.out.rstrip("/")
-    tmp = out + ".partial"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    save_split(ds, tmp)
-    if os.path.exists(out):
-        shutil.rmtree(out)
-    os.replace(tmp, out)
+
+    def write(tmp):
+        save_split(ds, tmp)
+        if os.path.exists(out):
+            shutil.rmtree(out)
+
+    write_atomic(out, write)
     n_train = len(ds.train_users)
     n_interactions = int(sum(u.item_indices.size for u in ds.train_users))
     print(f"split written to {out}")
@@ -143,11 +142,10 @@ def cmd_eval(args):
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, f"metrics_{args.split}")
-    _write_atomic(base + ".json", report.to_json())
-    _write_atomic(base + ".txt", report.to_text())
+    _write_text(base + ".json", report.to_json())
+    _write_text(base + ".txt", report.to_text())
     if args.csv:
-        report.write_csv(args.csv + ".partial")
-        os.replace(args.csv + ".partial", args.csv)
+        write_atomic(args.csv, report.write_csv)
     print(report.to_text(), end="")
     print(f"report written to {base}.json")
     return 0
@@ -261,7 +259,7 @@ def main(argv=None):
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
-    except VampCFError as e:
+    except (VampCFError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -24,15 +24,6 @@ from .errors import ConfigError, DataError, ShapeError
 
 
 @dataclass
-class RatingRecord:
-    """One parsed input row; the timestamp is carried but never used."""
-    user_id: str
-    item_id: str
-    rating: float
-    timestamp: int | None = None
-
-
-@dataclass
 class InteractionVector:
     """A user's binarized consumption history as sorted item indices."""
     user_index: int
@@ -66,10 +57,11 @@ class DatasetSplit:
 
 
 def parse_ratings(path):
-    """Yield RatingRecords from a delimited ratings file.
+    """Yield ``(user_id, item_id, rating)`` from a delimited ratings file.
 
     A single leading header line is skipped when its rating field is not
-    numeric. Any other malformed row raises DataError with its line number.
+    numeric. Any other malformed row, a bad timestamp included, raises
+    DataError with its line number; a valid timestamp is not kept.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -93,13 +85,12 @@ def parse_ratings(path):
                 raise DataError(f"{path}:{lineno}: non-finite rating")
             if not user_id or not item_id:
                 raise DataError(f"{path}:{lineno}: empty user or item id")
-            timestamp = None
             if len(row) == 4 and row[3].strip():
                 try:
-                    timestamp = int(float(row[3]))
-                except ValueError:
+                    int(float(row[3]))
+                except (ValueError, OverflowError):
                     raise DataError(f"{path}:{lineno}: bad timestamp {row[3]!r}")
-            yield RatingRecord(user_id, item_id, rating, timestamp)
+            yield user_id, item_id, rating
 
 
 def ingest(path, min_rating=4.0, min_items=5):
@@ -111,9 +102,9 @@ def ingest(path, min_rating=4.0, min_items=5):
     within each user.
     """
     by_user = {}
-    for rec in parse_ratings(path):
-        if rec.rating >= min_rating:
-            by_user.setdefault(rec.user_id, set()).add(rec.item_id)
+    for user_id, item_id, rating in parse_ratings(path):
+        if rating >= min_rating:
+            by_user.setdefault(user_id, set()).add(item_id)
     result = [(user, tuple(sorted(items)))
               for user, items in sorted(by_user.items())
               if len(items) >= min_items]
@@ -282,11 +273,6 @@ class CSRMatrix:
         out = np.zeros(self.shape)
         out[self.row_ids(), self.indices] = self.data
         return out
-
-
-def to_dense(v, n_items):
-    """0/1 row vector of length n_items with ones at the interaction indices."""
-    return to_dense_batch([v], n_items)
 
 
 def to_dense_batch(vectors, n_items):

@@ -50,7 +50,7 @@ def _check_inputs(scores, heldout, mask, k):
     mask_set = set(int(i) for i in mask)
     if any(int(i) in mask_set for i in heldout):
         raise DataError("heldout and mask overlap")
-    return heldout, mask_set
+    return heldout
 
 
 def _dcg(hits):
@@ -63,7 +63,7 @@ def ndcg_at_k(scores, heldout, mask, k):
     """Truncated normalized discounted cumulative gain; hits at rank r are
     discounted by 1/log2(r+1). Returns None for an empty heldout set (the
     caller should skip the user)."""
-    heldout, _ = _check_inputs(scores, heldout, mask, k)
+    heldout = _check_inputs(scores, heldout, mask, k)
     if heldout.size == 0:
         return None
     top = ranked_candidates(scores, mask)[:k]
@@ -75,7 +75,7 @@ def ndcg_at_k(scores, heldout, mask, k):
 def recall_at_k(scores, heldout, mask, k):
     """Fraction of heldout items in the top K, normalized by
     min(K, heldout size). Returns None for an empty heldout set."""
-    heldout, _ = _check_inputs(scores, heldout, mask, k)
+    heldout = _check_inputs(scores, heldout, mask, k)
     if heldout.size == 0:
         return None
     top = ranked_candidates(scores, mask)[:k]

@@ -6,13 +6,19 @@ multinomial or Bernoulli likelihood. All forward functions operate on
 batches (one user per row) and are differentiable through the autodiff
 tape; calls with no active tape are plain numpy.
 
-Interaction batches run as CSR (``data.CSRMatrix``): each encoder's first
-layer reads only the weight rows at a user's items, and the likelihood
-reads the logits only at the batch's stored entries, so a training step
-never densifies the batch. A dense ``Matrix`` batch is converted at entry,
-so both forms give the same scores bit for bit. Only a learnable dense
-input, the vamp pseudo-inputs, keeps the dense product, so that its
-gradient can flow.
+Each input to the objective has one form. Interaction batches run as CSR
+(``data.CSRMatrix``): each encoder's first layer reads only the weight
+rows at a user's items, and the likelihood reads the logits only at the
+batch's stored entries, so a training step never densifies the batch.
+``as_batch`` is the one place where a dense ``Matrix`` batch becomes CSR,
+so both forms give the same scores bit for bit; the likelihood target and
+the training rows that seed the pseudo-inputs are CSR. Only a learnable
+dense input, the vamp pseudo-inputs, keeps the dense product, so that its
+gradient can flow. Every random draw comes from the caller's
+``numpy.random.Generator``; a copy of the generator replays the same
+draws. Every Gaussian density and divergence goes through the general
+diagonal form, the standard normal being a zero-mean, zero-log-variance
+``GaussianParams``.
 
 Latent naming follows the hierarchy: ``z2`` is the top-level latent whose
 prior is standard or vamp, ``z1`` the lower latent with a learned
@@ -208,7 +214,7 @@ def _build_params(cfg, weight, bias):
 def init_params(config, rng, train_matrix=None):
     """Fresh parameters; pseudo-inputs copy random training rows plus noise.
 
-    ``train_matrix`` is an (N, n_items) 0/1 ``CSRMatrix`` or array used for
+    ``train_matrix`` is an (N, n_items) 0/1 ``CSRMatrix`` used for
     data-dependent pseudo-input initialization; without it pseudo-inputs
     start as small Gaussian noise.
     """
@@ -218,9 +224,7 @@ def init_params(config, rng, train_matrix=None):
         if train_matrix is not None:
             n = train_matrix.shape[0]
             rows = rng.choice(n, size=cfg.n_pseudo, replace=cfg.n_pseudo > n)
-            base = train_matrix.take_rows(rows).toarray() \
-                if isinstance(train_matrix, CSRMatrix) \
-                else np.asarray(train_matrix, dtype=np.float64)[rows]
+            base = train_matrix.take_rows(rows).toarray()
         else:
             base = np.zeros((cfg.n_pseudo, cfg.n_items))
         base = base + rng.normal(0.0, PSEUDO_NOISE, size=base.shape)
@@ -358,14 +362,10 @@ def prior_z1(z2, params):
                      params.prior_z1_head)
 
 
-def sample(g, rng=None, noise=None):
+def sample(g, rng):
     """Reparameterized draw from a diagonal Gaussian:
-    mean + exp(log_var / 2) * noise."""
-    if noise is None:
-        if rng is None:
-            raise ConfigError("sample needs an rng or explicit noise")
-        noise = rng.standard_normal(g.mean.shape)
-    eps = ad.constant(noise)
+    mean + exp(log_var / 2) * eps, with eps standard normal from ``rng``."""
+    eps = ad.constant(rng.standard_normal(g.mean.shape))
     return ad.add(g.mean, ad.mul(ad.exp(ad.scale(g.log_var, 0.5)), eps))
 
 
@@ -389,28 +389,16 @@ def decode(z1, z2, params):
 # Densities and divergences (all per-row, returning (n, 1) columns)
 # ---------------------------------------------------------------------------
 
-def _sparse_target(x):
-    """The likelihood target as CSR; a dense one keeps its nonzeros."""
-    return x if isinstance(x, CSRMatrix) else CSRMatrix.from_dense(x)
-
-
-def log_lik_multinomial(logits, x):
-    """Sum over consumed items of the log-softmax scores; the multinomial
-    coefficient is constant in the parameters and omitted."""
-    return ad.multinomial_log_lik(logits, _sparse_target(x))
-
-
-def log_lik_bernoulli(logits, x):
-    """Per-item binary cross-entropy in stable logit form:
-    sum_i [x_i * l_i - softplus(l_i)]."""
-    return ad.bernoulli_log_lik(logits, _sparse_target(x))
-
-
 def log_likelihood(logits, x, likelihood):
+    """log p(x | logits) per row of the CSR target ``x``. Multinomial: the
+    sum over consumed items of the log-softmax scores (the multinomial
+    coefficient is constant in the parameters and omitted). Bernoulli: the
+    per-item binary cross-entropy in stable logit form,
+    sum_i [x_i * l_i - softplus(l_i)]."""
     if likelihood == "multinomial":
-        return log_lik_multinomial(logits, x)
+        return ad.multinomial_log_lik(logits, x)
     if likelihood == "bernoulli":
-        return log_lik_bernoulli(logits, x)
+        return ad.bernoulli_log_lik(logits, x)
     raise ConfigError(f"unknown likelihood {likelihood!r}")
 
 
@@ -426,11 +414,10 @@ def kl_diag_gauss(q, p):
     return ad.scale(ad.sum_rows(inner), 0.5)
 
 
-def kl_to_standard_normal(q):
-    """KL(q || N(0, I)) in closed form, per row."""
-    inner = ad.sub(ad.add(ad.exp(q.log_var), ad.mul(q.mean, q.mean)),
-                   ad.add_scalar(q.log_var, 1.0))
-    return ad.scale(ad.sum_rows(inner), 0.5)
+def _standard_normal(shape):
+    """N(0, I) as a constant diagonal Gaussian of ``shape``."""
+    zero = ad.constant(np.zeros(shape))
+    return GaussianParams(zero, zero)
 
 
 def gauss_log_density(z, g):
@@ -438,11 +425,6 @@ def gauss_log_density(z, g):
     dz = ad.sub(z, g.mean)
     quad = ad.mul(ad.mul(dz, dz), ad.exp(ad.scale(g.log_var, -1.0)))
     inner = ad.add(ad.add_scalar(g.log_var, LOG_2PI), quad)
-    return ad.scale(ad.sum_rows(inner), -0.5)
-
-
-def standard_normal_log_density(z):
-    inner = ad.add_scalar(ad.mul(z, z), LOG_2PI)
     return ad.scale(ad.sum_rows(inner), -0.5)
 
 
@@ -493,31 +475,29 @@ class ElboResult:
     kl_z2_ce: Matrix
 
 
-def elbo(x, params, beta, rng=None, dropout_rate=0.0, noise=None):
+def elbo(x, params, beta, rng, dropout_rate=0.0):
     """Single-sample evidence lower bound, averaged over the batch rows.
 
     The input entries are dropped at ``dropout_rate`` (see
-    ``prepare_input``); a rate of 0 drops nothing.
-
-    ``noise`` optionally freezes the reparameterization draws: a dict with
-    key "z2" (and "z1" for two-level models) of standard-normal arrays.
-    The KL terms are returned unscaled; ``beta`` only affects ``elbo``.
+    ``prepare_input``); a rate of 0 drops nothing. Every draw (dropout,
+    then z2, then z1) comes from ``rng``, so evaluating on copies of one
+    generator freezes them. The KL terms are returned unscaled; ``beta``
+    only affects ``elbo``.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must be in [0, 1], got {beta}")
     cfg = params.config
     x = as_batch(x)
     n = x.rows
-    noise = noise or {}
-
     h = prepare_input(x, dropout_rate, rng)
     g2 = _encode_z2_prepared(h, params)
-    z2 = sample(g2, rng, noise.get("z2"))
+    z2 = sample(g2, rng)
 
-    g1, z1 = _lower_latent(h, z2, params, lambda g: sample(g, rng, noise.get("z1")))
+    g1, z1 = _lower_latent(h, z2, params, partial(sample, rng=rng))
     kl1 = (kl_diag_gauss(g1, prior_z1(z2, params)) if g1 is not None else
            ad.constant(np.zeros((n, 1))))
-    kl2 = (kl_to_standard_normal(g2) if cfg.prior == "standard" else
+    kl2 = (kl_diag_gauss(g2, _standard_normal(g2.mean.shape))
+           if cfg.prior == "standard" else
            ad.sub(gauss_log_density(z2, g2), vamp_log_density(z2, params)))
     logits = decode(z1, z2, params)
 
@@ -569,7 +549,7 @@ def elbo_decomposition(x, params, n_mc, rng):
         logits = decode(z1, z2, params)
         recon_draws[s] = log_likelihood(logits, x, cfg.likelihood).data.mean()
         if cfg.prior == "standard":
-            log_prior = standard_normal_log_density(z2)
+            log_prior = gauss_log_density(z2, _standard_normal(z2.shape))
         else:
             log_prior = _mixture_log_density(z2, comp)
         ce_draws[s] = -log_prior.data.mean()

@@ -16,13 +16,12 @@ import pytest
 from vampcf import autodiff as ad
 from vampcf.autodiff import Matrix, Tape
 from vampcf.cli import main
-from vampcf.data import InteractionVector, split
+from vampcf.data import CSRMatrix, InteractionVector, split
 from vampcf.gridcheck import TOLERANCE, grid_cells, run_grid
 from vampcf.metrics import evaluate, ndcg_at_k, popularity_baseline, recall_at_k
 from vampcf.model import (GaussianParams, ModelConfig, elbo,
                           elbo_decomposition, encode_z2, init_params,
-                          log_lik_multinomial, kl_diag_gauss,
-                          vamp_log_density)
+                          kl_diag_gauss, log_likelihood, vamp_log_density)
 from vampcf.synthetic import archetype_interactions, write_ratings_csv
 from vampcf.training import OptimizerState, TrainConfig, adam_step, train
 
@@ -176,10 +175,10 @@ def test_3_kl_and_prior_identities(capsys):
 
 
 def test_4_likelihood_spot_values(capsys):
-    x = Matrix(np.array([[1.0, 0.0, 1.0, 0.0]]))
-    uniform = log_lik_multinomial(Matrix(np.zeros((1, 4))), x).item()
-    skewed = log_lik_multinomial(
-        Matrix(np.array([[math.log(3.0), 0.0, 0.0, 0.0]])), x).item()
+    x = CSRMatrix.from_dense(np.array([[1.0, 0.0, 1.0, 0.0]]))
+    uniform = log_likelihood(Matrix(np.zeros((1, 4))), x, "multinomial").item()
+    skewed = log_likelihood(
+        Matrix(np.array([[math.log(3.0), 0.0, 0.0, 0.0]])), x, "multinomial").item()
     exact_uniform = 2.0 * math.log(1.0 / 4.0)
     exact_skewed = math.log(0.5) + math.log(1.0 / 6.0)
     ok = (abs(uniform - exact_uniform) < 1e-9
@@ -206,7 +205,7 @@ def test_5_single_batch_overfit(capsys):
     cfg = ModelConfig(n_items=30, prior="standard", hierarchy="flat",
                       gated=True, likelihood="multinomial", hidden=32,
                       d_z1=8, d_z2=8, n_pseudo=1)
-    params = init_params(cfg, rng, train_matrix=x)
+    params = init_params(cfg, rng, train_matrix=CSRMatrix.from_dense(x))
     state = OptimizerState.for_params(params)
     xm = Matrix(x)
     recon = -math.inf
@@ -335,7 +334,7 @@ def test_9_decomposition_matches_objective(capsys):
             n_pseudo=int(rng.integers(1, 4)))
         x = (rng.random((3, cfg.n_items)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
-        params = init_params(cfg, rng, train_matrix=x)
+        params = init_params(cfg, rng, train_matrix=CSRMatrix.from_dense(x))
         xm = Matrix(x)
         dec = elbo_decomposition(xm, params, n_mc=200, rng=rng)
         lhs = dec.posterior_entropy - dec.cross_entropy_prior

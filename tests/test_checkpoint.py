@@ -7,6 +7,7 @@ import pytest
 
 from vampcf import checkpoint
 from vampcf.checkpoint import load_checkpoint, save_checkpoint
+from vampcf.data import CSRMatrix
 from vampcf.errors import DataError
 from vampcf.gridcheck import grid_cells, tiny_config
 from vampcf.model import init_params
@@ -19,7 +20,7 @@ def tiny_params(seed=0, **cell):
     cfg = tiny_config(**(cell or VAMP_CELL))
     rng = np.random.default_rng(seed)
     train_matrix = (rng.random((8, cfg.n_items)) < 0.3).astype(np.float64)
-    return init_params(cfg, rng, train_matrix=train_matrix)
+    return init_params(cfg, rng, train_matrix=CSRMatrix.from_dense(train_matrix))
 
 
 @pytest.mark.parametrize("name,cell", grid_cells(), ids=[n for n, _ in grid_cells()])
@@ -54,6 +55,28 @@ def test_load_draws_no_random_parameters(tmp_path, monkeypatch):
 
     monkeypatch.setattr(checkpoint, "init_params", refuse)
     load_checkpoint(path)
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_partial(tmp_path,
+                                                               monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), tiny_params(seed=1))
+    before = path.read_bytes()
+    calls = []
+
+    def fails_on_third_tensor(obj):
+        calls.append(obj)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return memoryview(obj)
+
+    # Shadows the builtin inside the module: the tensor writes fail midway.
+    monkeypatch.setattr(checkpoint, "memoryview", fails_on_third_tensor,
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(str(path), tiny_params(seed=2))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 # -- damaged files ----------------------------------------------------------

@@ -163,6 +163,15 @@ class TestTrain:
         assert code == 2
         assert "meta.json" in capsys.readouterr().err
 
+    def test_out_under_a_file_exits_1(self, split_dir, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["train", "--data", split_dir, "--out", str(blocker / "run"),
+                     "--quiet", *TINY_MODEL_OVERRIDES, *TINY_TRAIN_OVERRIDES])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
     def test_numerical_abort_exits_3(self, split_dir, tmp_path, capsys,
                                      monkeypatch):
         inf = Matrix(np.array([[np.inf]]))
@@ -234,7 +243,7 @@ class TestEval:
         assert len(lines) == 1 + 15 * 2
 
     def test_failed_csv_write_leaves_no_csv(self, trained_run, split_dir,
-                                           tmp_path, monkeypatch):
+                                           tmp_path, monkeypatch, capsys):
         class FailsAfterHeader:
             def __init__(self, f):
                 self.writer, self.rows = csv.writer(f), 0
@@ -248,12 +257,26 @@ class TestEval:
         monkeypatch.setattr(metrics, "csv",
                             SimpleNamespace(writer=FailsAfterHeader))
         csv_path = tmp_path / "per_user.csv"
-        with pytest.raises(OSError, match="disk full"):
-            main(["eval", "--checkpoint",
-                  os.path.join(trained_run, "model.ckpt"),
-                  "--data", split_dir, "--ks", "10",
-                  "--out", str(tmp_path / "rep"), "--csv", str(csv_path)])
+        code = main(["eval", "--checkpoint",
+                     os.path.join(trained_run, "model.ckpt"),
+                     "--data", split_dir, "--ks", "10",
+                     "--out", str(tmp_path / "rep"), "--csv", str(csv_path)])
+        assert code == 1
+        assert "error: disk full" in capsys.readouterr().err
         assert not csv_path.exists()
+        assert not (tmp_path / "per_user.csv.partial").exists()
+
+    def test_csv_in_missing_directory_exits_1(self, trained_run, split_dir,
+                                              tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "u.csv"
+        code = main(["eval", "--checkpoint",
+                     os.path.join(trained_run, "model.ckpt"),
+                     "--data", split_dir, "--ks", "10",
+                     "--out", str(tmp_path / "rep"), "--csv", str(csv_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "u.csv.partial" in err
+        assert not (tmp_path / "missing").exists()
 
     def test_vocab_mismatch_names_both_fingerprints(self, trained_run,
                                                     other_split, tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vampcf.data import (CSRMatrix, DatasetSplit, InteractionVector, ingest,
-                         load_split, parse_ratings, save_split, split, to_dense,
+                         load_split, parse_ratings, save_split, split,
                          to_dense_batch, vocab_fingerprint)
 from vampcf.errors import ConfigError, DataError, ShapeError
 
@@ -56,6 +56,18 @@ class TestIngest:
         rows = [("u1", f"i{j}", 4.0, 1234567 + j) for j in range(5)]
         data = ingest(write_ratings(tmp_path / "r.csv", rows))
         assert len(data[0][1]) == 5
+
+    def test_parsed_rows_are_plain_tuples(self, tmp_path):
+        path = write_ratings(tmp_path / "r.csv", [("u1", "i0", 4.5, 1234567)],
+                             header="user,item,rating,timestamp")
+        assert list(parse_ratings(path)) == [("u1", "i0", 4.5)]
+
+    @pytest.mark.parametrize("stamp", ["yesterday", "inf"])
+    def test_bad_timestamp_reports_line_number(self, tmp_path, stamp):
+        rows = [("u1", "i0", 4.0, 1234567), ("u1", "i1", 4.0, stamp)]
+        path = write_ratings(tmp_path / "r.csv", rows)
+        with pytest.raises(DataError, match=r":2: bad timestamp"):
+            list(parse_ratings(path))
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         rows = [("u1", "i0", 4.0), ("u1", "i1", 4.0)]
@@ -198,32 +210,28 @@ class TestSplit:
 class TestDense:
     def test_example_vector(self):
         v = InteractionVector(0, np.array([0, 2], dtype=np.int64))
-        assert to_dense(v, 4).data.tolist() == [[1.0, 0.0, 1.0, 0.0]]
+        assert to_dense_batch([v], 4).data.tolist() == [[1.0, 0.0, 1.0, 0.0]]
 
     def test_empty_indices_zero_vector(self):
         v = InteractionVector(0, np.array([], dtype=np.int64))
-        assert to_dense(v, 3).data.tolist() == [[0.0, 0.0, 0.0]]
+        assert to_dense_batch([v], 3).data.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             m = int(rng.integers(3, 12))
             idx = np.sort(rng.choice(m, size=rng.integers(1, m), replace=False))
-            dense = to_dense(InteractionVector(0, idx.astype(np.int64)), m)
+            dense = to_dense_batch([InteractionVector(0, idx.astype(np.int64))], m)
             back = np.flatnonzero(dense.data[0])
             assert np.array_equal(back, idx)
 
     def test_out_of_bounds_rejected(self):
         v = InteractionVector(0, np.array([5], dtype=np.int64))
         with pytest.raises(ShapeError):
-            to_dense(v, 4)
-        with pytest.raises(ShapeError):
             to_dense_batch([v], 4)
 
     def test_negative_index_rejected(self):
         v = InteractionVector(0, np.array([-1, 2], dtype=np.int64))
-        with pytest.raises(ShapeError, match="-1"):
-            to_dense(v, 5)
         with pytest.raises(ShapeError, match="-1"):
             to_dense_batch([v], 5)
         with pytest.raises(ShapeError, match="-1"):

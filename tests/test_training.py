@@ -12,11 +12,11 @@ from vampcf import autodiff as ad
 from vampcf import kernels, training
 from vampcf.autodiff import Matrix, Tape
 from vampcf.checkpoint import load_checkpoint, save_checkpoint
-from vampcf.data import DatasetSplit, InteractionVector
+from vampcf.data import CSRMatrix, DatasetSplit, InteractionVector
 from vampcf.data import split as make_split
 from vampcf.errors import ConfigError, DataError, NumericalError
 from vampcf.model import (ModelConfig, ElboResult, elbo, init_params,
-                          log_lik_bernoulli, log_lik_multinomial)
+                          log_likelihood)
 from vampcf.synthetic import archetype_interactions
 from vampcf.training import (OptimizerState, TrainConfig, adam_step, beta_at,
                              parse_metric, train)
@@ -341,7 +341,7 @@ class TestSingleBatchOverfit:
         for r in range(8):
             if x_np[r].sum() == 0:
                 x_np[r, 0] = 1.0
-        x = Matrix(x_np)
+        x = CSRMatrix.from_dense(x_np)
         cfg = ModelConfig(n_items=30, hidden=32, d_z1=8, d_z2=8,
                           prior="standard", hierarchy="flat",
                           likelihood=likelihood, gated=True, n_pseudo=1)
@@ -358,7 +358,7 @@ class TestSingleBatchOverfit:
 
     def test_multinomial_reaches_saturated_ceiling(self):
         recon, x, x_np = self.overfit("multinomial")
-        ceiling = log_lik_multinomial(Matrix(50.0 * x_np), x).data.mean()
+        ceiling = log_likelihood(Matrix(50.0 * x_np), x, "multinomial").data.mean()
         assert ceiling < 0.0
         # within 2% of the best achievable by a rank-items-first assignment
         assert recon >= 1.02 * ceiling
@@ -367,7 +367,8 @@ class TestSingleBatchOverfit:
         # the saturated Bernoulli ceiling is ~0 (-M*2e-22), so a relative
         # margin is vacuous; require near-perfect reconstruction outright
         recon, x, x_np = self.overfit("bernoulli")
-        ceiling = log_lik_bernoulli(Matrix(50.0 * (2.0 * x_np - 1.0)), x).data.mean()
+        ceiling = log_likelihood(Matrix(50.0 * (2.0 * x_np - 1.0)), x,
+                                 "bernoulli").data.mean()
         assert abs(ceiling) < 1e-12
         assert recon > -0.01
 
