@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 # init_params is not used here; perfbench wraps ``checkpoint.init_params`` by
 # attribute to count parameter initialisations, so the name must stay.
 from .model import ModelConfig, empty_params, init_params  # noqa: F401
@@ -86,11 +86,10 @@ def load_checkpoint(path):
         if header.get("format") != FORMAT_NAME:
             raise DataError(f"{path}: unknown checkpoint format {header.get('format')!r}")
         try:
-            config = ModelConfig(**header["config"])
+            params = empty_params(ModelConfig(**header["config"]))
             manifest = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError, ConfigError) as e:
             raise DataError(f"{path}: malformed checkpoint header: {e!r}") from e
-        params = empty_params(config)
         named = params.named_parameters()
         if [name for name, _ in manifest] != list(named):
             raise DataError(f"{path}: tensor manifest does not match the "

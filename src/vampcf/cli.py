@@ -1,4 +1,4 @@
-"""Command-line entry points: prepare, train, eval, recommend, gradcheck.
+"""The vampcf commands: synthetic, prepare, train, eval, recommend, gradcheck.
 
 Exit codes: 0 success, 1 usage or configuration error or an output that
 cannot be written, 2 data error, 3 numerical failure. Artifacts are
@@ -21,6 +21,7 @@ from .errors import ConfigError, DataError, NumericalError, VampCFError
 from .gridcheck import TOLERANCE, run_grid
 from .metrics import evaluate, ranked_candidates
 from .model import score_items
+from .synthetic import archetype_interactions, write_ratings_csv
 from .training import train
 
 
@@ -52,6 +53,15 @@ def _checked_vocab_fingerprint(extra, vocab):
     return fp
 
 
+def cmd_synthetic(args):
+    data = archetype_interactions(args.users, args.items, args.archetypes, args.seed)
+    write_atomic(args.out, lambda tmp: write_ratings_csv(data, tmp))
+    n_inter = sum(len(items) for _, items in data)
+    print(f"wrote {args.out}: {args.users} users, {args.items} items, "
+          f"{n_inter} interactions")
+    return 0
+
+
 def cmd_prepare(args):
     data = ingest(args.ratings, min_rating=args.min_rating,
                   min_items=args.min_items)
@@ -77,18 +87,9 @@ def cmd_prepare(args):
     return 0
 
 
-def _resolve_split_dir(args, cfg):
-    """``--data``, else the config's ``data.split_dir``."""
-    split_dir = args.data or cfg.data.get("split_dir")
-    if not split_dir:
-        raise ConfigError("no split directory: pass --data or set data.split_dir")
-    return split_dir
-
-
 def cmd_train(args):
     cfg = load_config(args.config, args.set)
-    split_dir = _resolve_split_dir(args, cfg)
-    ds = load_split(split_dir)
+    ds = load_split(args.data)
     model_cfg = cfg.model_config(n_items=ds.n_items)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train_log.jsonl")
@@ -130,10 +131,8 @@ def _parse_ks(text):
 
 def cmd_eval(args):
     ks = _parse_ks(args.ks)
-    cfg = load_config(args.config, args.set)
-    split_dir = _resolve_split_dir(args, cfg)
     params, extra = load_checkpoint(args.checkpoint)
-    ds = load_split(split_dir)
+    ds = load_split(args.data)
     fp = _checked_vocab_fingerprint(extra, ds.vocab)
     users = ds.test_users if args.split == "test" else ds.validation_users
     report = evaluate(users, params, ks=ks,
@@ -198,6 +197,15 @@ def build_parser():
                             "priors for implicit-feedback recommendation.")
     sub = p.add_subparsers(dest="command", required=True)
 
+    sy = sub.add_parser("synthetic",
+                        help="write a seeded synthetic ratings csv")
+    sy.add_argument("--users", type=int, default=1200)
+    sy.add_argument("--items", type=int, default=300)
+    sy.add_argument("--archetypes", type=int, default=3)
+    sy.add_argument("--seed", type=int, default=0)
+    sy.add_argument("--out", required=True, help="ratings csv to write")
+    sy.set_defaults(func=cmd_synthetic)
+
     sp = sub.add_parser("prepare", help="binarize ratings and write a split")
     sp.add_argument("--ratings", required=True, help="ratings csv path")
     sp.add_argument("--min-rating", type=float, default=4.0)
@@ -212,16 +220,14 @@ def build_parser():
     st.add_argument("--config", default=None, help="config file path")
     st.add_argument("--set", action="append", default=[],
                     metavar="SECTION.KEY=VALUE", help="override a config value")
-    st.add_argument("--data", default=None, help="split directory")
+    st.add_argument("--data", required=True, help="split directory")
     st.add_argument("--out", default="run", help="output directory")
     st.add_argument("--quiet", action="store_true")
     st.set_defaults(func=cmd_train)
 
     se = sub.add_parser("eval", help="evaluate a checkpoint on heldout users")
     se.add_argument("--checkpoint", required=True)
-    se.add_argument("--data", default=None, help="split directory")
-    se.add_argument("--config", default=None)
-    se.add_argument("--set", action="append", default=[])
+    se.add_argument("--data", required=True, help="split directory")
     se.add_argument("--split", choices=("test", "validation"), default="test")
     se.add_argument("--ks", default="20,50,100")
     se.add_argument("--out", default=None, help="report directory")

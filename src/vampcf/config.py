@@ -1,12 +1,12 @@
 """Run configuration: sectioned key=value files plus --set overrides.
 
-Three sections. [model] and [train] take one key per field of
+Two sections. [model] and [train] take one key per field of
 ModelConfig and TrainConfig, parsed by the field's type: the model key
 ``k`` is the field ``n_pseudo``, and ``n_items`` is no key because it
-comes from the split. [data] takes one key, ``split_dir``. Every key is
-typed and validated before any command does work; an unparsable file,
-an unknown section ([DEFAULT] included) or an unknown key is a
-ConfigError, so typos cannot silently fall back to defaults.
+comes from the split, which ``--data`` names. Every key is typed and
+validated before any command does work; an unparsable file, an unknown
+section ([DEFAULT] included) or an unknown key is a ConfigError, so
+typos cannot silently fall back to defaults.
 """
 import configparser
 from dataclasses import dataclass, fields
@@ -51,7 +51,6 @@ def _keys(cls, skip=(), spelled=None):
 SECTIONS = {
     "model": _keys(ModelConfig, skip=("n_items",), spelled={"n_pseudo": "k"}),
     "train": _keys(TrainConfig),
-    "data": {"split_dir": ("split_dir", str.strip)},
 }
 
 
@@ -59,7 +58,6 @@ SECTIONS = {
 class RunConfig:
     model: dict  # ModelConfig field -> value, for the [model] keys given
     train: TrainConfig
-    data: dict   # the [data] keys given, parsed
 
     def model_config(self, n_items):
         return ModelConfig(n_items=n_items, **self.model)
@@ -68,10 +66,8 @@ class RunConfig:
 def _apply_overrides(cp, overrides):
     for item in overrides:
         key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--set expects section.key=value, got {item!r}")
         section, dot, name = key.strip().partition(".")
-        if not dot or not section or not name:
+        if not (sep and dot and section and name):
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         if not cp.has_section(section):
             cp.add_section(section)
@@ -113,6 +109,6 @@ def load_config(path=None, overrides=()):
                 raise ConfigError(f"bad value for {section}.{key}: {e}") from e
         parsed[section] = values
 
-    run = RunConfig(parsed["model"], TrainConfig(**parsed["train"]), parsed["data"])
+    run = RunConfig(parsed["model"], TrainConfig(**parsed["train"]))
     run.model_config(n_items=1)  # validate the grid choices eagerly
     return run

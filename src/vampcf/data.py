@@ -367,7 +367,10 @@ def _read_pairs_csv(path, n_items):
         if not 0 <= item < n_items:
             raise DataError(
                 f"{path}: item index {item} out of range for {n_items} items")
-        by_user.setdefault(user, []).append(item)
+        items = by_user.setdefault(user, set())
+        if item in items:
+            raise DataError(f"{path}: line {line}: user {user} lists item {item} twice")
+        items.add(item)
     return {u: np.array(sorted(items), dtype=np.int64) for u, items in by_user.items()}
 
 

@@ -87,10 +87,11 @@ class CellResult:
 
 def run_grid(seed=0, tolerance=TOLERANCE, corrupt_cell=None):
     """Gradient-check every grid cell; returns one CellResult per cell."""
+    cells = grid_cells()
+    if corrupt_cell is not None and corrupt_cell not in dict(cells):
+        raise ConfigError(f"unknown grid cell {corrupt_cell!r}")
     results = []
-    for name, kwargs in grid_cells():
+    for name, kwargs in cells:
         err = check_cell(kwargs, seed=seed, corrupt=(name == corrupt_cell))
         results.append(CellResult(name=name, max_rel_err=err, passed=err < tolerance))
-    if corrupt_cell is not None and corrupt_cell not in [r.name for r in results]:
-        raise ConfigError(f"unknown grid cell {corrupt_cell!r}")
     return results

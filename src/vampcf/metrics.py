@@ -89,6 +89,9 @@ def popularity_baseline(train_users, n_items):
     if not train_users:
         raise DataError("popularity baseline needs a non-empty training set")
     all_items = np.concatenate([u.item_indices for u in train_users])
+    if all_items.size and not 0 <= all_items.min() <= all_items.max() < n_items:
+        raise DataError(f"popularity baseline: training item indices "
+                        f"{all_items.min()}..{all_items.max()} outside [0, {n_items})")
     return np.bincount(all_items, minlength=n_items).astype(np.float64)
 
 

@@ -71,9 +71,15 @@ class ModelConfig:
             raise ConfigError(f"likelihood must be one of {LIKELIHOODS}, got {self.likelihood!r}")
         if self.hierarchy == "two_level" and self.prior != "vamp":
             raise ConfigError("two_level hierarchy requires the vamp prior")
-        for name in ("n_items", "depth", "hidden", "d_z1", "d_z2"):
-            if getattr(self, name) < 1:
+        for name in ("n_items", "depth", "hidden", "d_z1", "d_z2", "n_pseudo"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "n_pseudo":
                 raise ConfigError(f"{name} must be >= 1")
+            setattr(self, name, int(value))
+        if not isinstance(self.gated, bool):
+            raise ConfigError(f"gated must be a bool, got {self.gated!r}")
         if self.prior == "vamp" and self.n_pseudo < 1:
             raise ConfigError("vamp prior needs n_pseudo >= 1")
 

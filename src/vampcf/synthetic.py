@@ -9,12 +9,13 @@ popularity ranking some signal while leaving plenty of headroom for a
 model that identifies the user's archetype, which is what end-to-end
 learning checks exploit.
 
-Run ``python -m vampcf.synthetic --help`` to write a ratings csv.
+``vampcf synthetic`` writes a ratings csv from the command line.
 """
-import argparse
 import csv
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
@@ -23,10 +24,11 @@ def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
     """Generate (user_id, item_id tuple) pairs in ingest's output format.
 
     Item ids are zero-padded so lexicographic order matches block layout.
-    Deterministic given the arguments.
+    Deterministic given the arguments; sizes it cannot honour raise ConfigError.
     """
-    if n_items % n_archetypes:
-        raise ValueError("n_items must be divisible by n_archetypes")
+    if n_users < 1 or not 1 <= n_archetypes <= n_items or n_items % n_archetypes:
+        raise ConfigError(f"cannot give {n_users} users {n_items} items in "
+                          f"{n_archetypes} equal non-empty archetype blocks")
     rng = np.random.default_rng(seed)
     block = n_items // n_archetypes
     width = len(str(n_items - 1))
@@ -63,21 +65,3 @@ def write_ratings_csv(data, path, rating=5.0):
             for item_id in items:
                 w.writerow([user_id, item_id, rating])
 
-
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--users", type=int, default=1200)
-    ap.add_argument("--items", type=int, default=300)
-    ap.add_argument("--archetypes", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", required=True, help="ratings csv to write")
-    args = ap.parse_args(argv)
-    data = archetype_interactions(args.users, args.items, args.archetypes, args.seed)
-    write_ratings_csv(data, args.out)
-    n_inter = sum(len(items) for _, items in data)
-    print(f"wrote {args.out}: {args.users} users, {args.items} items, "
-          f"{n_inter} interactions")
-
-
-if __name__ == "__main__":
-    main()

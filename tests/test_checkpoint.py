@@ -1,6 +1,7 @@
 """Checkpoint file format: bit-identical round trips over the model grid and
 a DataError for every way a file can be damaged."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,17 @@ def test_v1_format_rejected_by_name(tmp_path):
     rewrite(path, header, payload)
     with pytest.raises(DataError, match="vampcf-checkpoint-v1"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("depth", 1.5), ("gated", "no"), ("prior", "gaussian")])
+def test_invalid_header_config_rejected(tmp_path, key, value):
+    path, header, payload = saved_parts(tmp_path)
+    header["config"][key] = value
+    rewrite(path, header, payload)
+    with pytest.raises(DataError,
+                       match=f"{re.escape(str(path))}: malformed checkpoint header.*{key}"):
+        load_checkpoint(str(path))
 
 
 def test_header_without_manifest_rejected(tmp_path):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import vampcf
-from vampcf import metrics, training
+from vampcf import cli, gridcheck, metrics, training
 from vampcf.autodiff import Matrix
 from vampcf.checkpoint import load_checkpoint
 from vampcf.cli import main
@@ -56,6 +56,41 @@ def assert_names_both_fingerprints(err, trained_run, split):
     _, extra = load_checkpoint(os.path.join(trained_run, "model.ckpt"))
     assert extra["vocab_fingerprint"] in err
     assert vocab_fingerprint(load_split(split).vocab) in err
+
+
+class TestSynthetic:
+    def test_writes_the_generator_output(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["synthetic", "--users", "30", "--items", "20",
+                     "--archetypes", "2", "--seed", "4", "--out", str(out)]) == 0
+        ref = tmp_path / "ref.csv"
+        data = archetype_interactions(30, 20, 2, 4)
+        write_ratings_csv(data, str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+        n_inter = sum(len(items) for _, items in data)
+        assert (f"wrote {out}: 30 users, 20 items, {n_inter} interactions"
+                in capsys.readouterr().out)
+        assert sorted(os.listdir(tmp_path)) == ["r.csv", "ref.csv"]
+
+    @pytest.mark.parametrize("sizes", [["--items", "61", "--archetypes", "3"],
+                                       ["--items", "0", "--archetypes", "3"],
+                                       ["--archetypes", "0"], ["--users", "0"]])
+    def test_sizes_it_cannot_honour_exit_1(self, tmp_path, capsys, sizes):
+        out = tmp_path / "r.csv"
+        assert main(["synthetic", *sizes, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def write_then_fail(data, path):
+            write_ratings_csv(data[:2], path)
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli, "write_ratings_csv", write_then_fail)
+        out = tmp_path / "r.csv"
+        assert main(["synthetic", "--users", "10", "--out", str(out)]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestPrepare:
@@ -136,26 +171,31 @@ class TestTrain:
         assert "beta_cap" in err and "[0, 1]" in err
 
     def test_unknown_config_key_exits_1(self, split_dir, tmp_path, capsys):
-        # data.min_rating is a prepare flag, not a config key.
-        for override in ("model.widgets=3", "data.min_rating=1"):
+        # min_rating is a prepare flag, not a config key.
+        for override in ("model.widgets=3", "train.min_rating=1"):
             code = main(["train", "--data", split_dir, "--out",
                          str(tmp_path / "r"), "--set", override])
             assert code == 1
             assert "unknown key" in capsys.readouterr().err
 
     def test_unknown_section_exits_1(self, split_dir, tmp_path, capsys):
-        code = main(["train", "--data", split_dir, "--out", str(tmp_path / "r"),
-                     "--set", "tarin.seed=1"])
-        assert code == 1
-        assert "unknown config section" in capsys.readouterr().err
+        # A split is named by --data alone: there is no [data] section.
+        for override in ("tarin.seed=1", f"data.split_dir={split_dir}"):
+            code = main(["train", "--data", split_dir, "--out",
+                         str(tmp_path / "r"), "--set", override])
+            assert code == 1
+            assert "unknown config section" in capsys.readouterr().err
 
-    def test_malformed_override_exits_1(self, capsys):
-        assert main(["train", "--set", "model.k"]) == 1
+    def test_malformed_override_exits_1(self, tmp_path, capsys):
+        # The config is checked before the split directory is read.
+        code = main(["train", "--data", str(tmp_path / "missing"),
+                     "--set", "model.k"])
+        assert code == 1
         assert "section.key=value" in capsys.readouterr().err
 
     def test_no_split_dir_anywhere_exits_1(self, capsys):
         assert main(["train"]) == 1
-        assert "no split directory" in capsys.readouterr().err
+        assert "required: --data" in capsys.readouterr().err
 
     def test_nonexistent_split_dir_exits_2(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "missing"),
@@ -213,16 +253,6 @@ class TestEval:
                      "--ks", "10", "--out", out])
         assert code == 0
         assert os.path.exists(os.path.join(out, "metrics_validation.json"))
-
-    def test_split_dir_can_come_from_config(self, trained_run, split_dir,
-                                            tmp_path):
-        cfg = tmp_path / "eval.cfg"
-        cfg.write_text(f"[data]\nsplit_dir = {split_dir}\n")
-        code = main(["eval", "--checkpoint",
-                     os.path.join(trained_run, "model.ckpt"),
-                     "--config", str(cfg), "--ks", "10",
-                     "--out", str(tmp_path / "rep")])
-        assert code == 0
 
     def test_reports_are_deterministic(self, trained_run, split_dir, tmp_path):
         ckpt = os.path.join(trained_run, "model.ckpt")
@@ -304,11 +334,23 @@ class TestEval:
 
     def test_no_split_dir_exits_1_before_reading_checkpoint(self, tmp_path,
                                                              capsys):
-        # The checkpoint does not exist: the split directory is resolved
-        # first, so the usage error wins over the missing file.
+        # The checkpoint does not exist: --data is a required flag, so the
+        # usage error wins over the missing file.
         code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt")])
         assert code == 1
-        assert "no split directory" in capsys.readouterr().err
+        assert "required: --data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--set"])
+    def test_config_flags_are_gone(self, trained_run, split_dir, tmp_path,
+                                   flag, capsys):
+        # eval scores with the checkpoint's own model, so it takes no config.
+        code = main(["eval", "--checkpoint",
+                     os.path.join(trained_run, "model.ckpt"),
+                     "--data", split_dir, flag, "model.hidden=999",
+                     "--out", str(tmp_path / "rep")])
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "rep")
 
     def test_split_without_vocab_exits_2(self, trained_run, split_dir, tmp_path,
                                          capsys):
@@ -391,6 +433,14 @@ class TestRecommend:
 
 
 class TestGradcheckCommand:
+    def test_unknown_corrupt_cell_exits_1_before_any_cell_runs(
+            self, monkeypatch, capsys):
+        def check_cell(*args, **kwargs):
+            raise AssertionError("a grid cell ran")
+        monkeypatch.setattr(gridcheck, "check_cell", check_cell)
+        assert main(["gradcheck", "--corrupt-cell", "nope"]) == 1
+        assert "unknown grid cell 'nope'" in capsys.readouterr().err
+
     def test_grid_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
@@ -407,7 +457,8 @@ class TestGradcheckCommand:
 
 
 class TestEntryPoints:
-    COMMANDS = ("prepare", "train", "eval", "recommend", "gradcheck")
+    COMMANDS = ("synthetic", "prepare", "train", "eval", "recommend",
+                "gradcheck")
 
     @staticmethod
     def checkout_env():

@@ -88,7 +88,6 @@ def test_shipped_config_loads_to_the_documented_values(name):
     assert cfg.train == TrainConfig(
         batch_size=256, learning_rate=1e-3, beta_cap=0.2, anneal_steps=None,
         dropout_rate=0.5, eval_metric="ndcg@100")
-    assert cfg.data == {}
 
 
 @pytest.mark.parametrize("text,what", [
@@ -99,7 +98,7 @@ def test_shipped_config_loads_to_the_documented_values(name):
 def test_unparsable_file_exits_1(tmp_path, capsys, text, what):
     path = tmp_path / "bad.cfg"
     path.write_text(text, encoding="utf-8")
-    assert main(["train", "--config", str(path)]) == 1
+    assert main(["train", "--config", str(path), "--data", "split"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot parse config file")
     assert str(path) in err and what in err
@@ -108,7 +107,7 @@ def test_unparsable_file_exits_1(tmp_path, capsys, text, what):
 def test_non_utf8_file_exits_1(tmp_path, capsys):
     path = tmp_path / "latin1.cfg"
     path.write_bytes("[train]\n# café\nseed = 1\n".encode("latin-1"))
-    assert main(["train", "--config", str(path)]) == 1
+    assert main(["train", "--config", str(path), "--data", "split"]) == 1
     assert str(path) in capsys.readouterr().err
 
 
@@ -131,5 +130,5 @@ def test_default_section_is_unknown(tmp_path, text):
 
 
 def test_default_section_override_exits_1(capsys):
-    assert main(["train", "--set", "DEFAULT.seed=1"]) == 1
+    assert main(["train", "--set", "DEFAULT.seed=1", "--data", "split"]) == 1
     assert "unknown config section [DEFAULT]" in capsys.readouterr().err

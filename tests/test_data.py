@@ -346,6 +346,17 @@ class TestSplitArtifact:
         with pytest.raises(DataError, match=f"{name}: line 3: expected two integers"):
             load_split(str(out))
 
+    @pytest.mark.parametrize("name", ["train.csv", "validation_tr.csv", "test_te.csv"])
+    def test_repeated_pair_rejected(self, tmp_path, name):
+        out = self.saved_split(tmp_path)
+        path = out / name
+        lines = path.read_text().splitlines()
+        user, item = lines[1].split(",")
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(DataError, match=f"{name}: line {len(lines) + 1}: "
+                                            f"user {user} lists item {item} twice"):
+            load_split(str(out))
+
     def test_short_vocab_row_rejected(self, tmp_path):
         out = self.saved_split(tmp_path)
         path = out / "vocab.csv"

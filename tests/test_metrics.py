@@ -185,6 +185,11 @@ class TestPopularityBaseline:
         with pytest.raises(DataError):
             popularity_baseline([], 5)
 
+    @pytest.mark.parametrize("items", [[0, 7], [-1, 2]])
+    def test_item_outside_vocabulary_rejected(self, items):
+        with pytest.raises(DataError, match=r"outside \[0, 5\)"):
+            popularity_baseline([iv(0, [1, 3]), iv(1, items)], 5)
+
 
 class TestEvaluate:
     def make_users(self, rng, n, m):

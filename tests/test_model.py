@@ -71,6 +71,17 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(prior="vamp", n_pseudo=0)
 
+    @pytest.mark.parametrize("kw", [{"depth": 1.5}, {"hidden": True},
+                                    {"n_items": "6"}, {"gated": "no"},
+                                    {"gated": 1}])
+    def test_mistyped_field_rejected(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            tiny_cfg(**kw)
+
+    def test_numpy_integer_size_is_stored_as_int(self):
+        cfg = tiny_cfg(n_items=np.int64(6))
+        assert type(cfg.n_items) is int
+
     def test_named_parameters_ordering_stable(self):
         cfg = tiny_cfg(prior="vamp", hierarchy="two_level")
         a = M.init_params(cfg, np.random.default_rng(1))
