@@ -1,14 +1,24 @@
 """Model checkpointing.
 
 One file: a compact JSON header line (model config, tensor manifest,
-caller metadata) terminated by a newline, then the raw little-endian
-float64 bytes of every tensor in manifest order. Serialization is fully
-deterministic so identical training runs produce identical bytes.
+caller metadata) padded with spaces to a multiple of 64 bytes before its
+newline, then the raw little-endian float64 bytes of every tensor in
+manifest order. The padding starts every tensor 8-byte aligned, so a load
+maps the file and uses the tensors in place; ``json.loads`` ignores it.
+Serialization is fully deterministic so identical training runs produce
+identical bytes.
+
+A load maps the file copy-on-write and reads only the pages a caller
+touches. Replace a checkpoint that may be in use by a rename, as
+``save_checkpoint`` does, never by rewriting it in place: a loaded model
+still reads the file's untouched pages, which an in-place rewrite changes
+under it.
 """
 import json
+import math
+import mmap
 import os
 import shutil
-import sys
 
 import numpy as np
 
@@ -19,19 +29,28 @@ from .model import ModelConfig, empty_params, init_params  # noqa: F401
 
 FORMAT_NAME = "vampcf-checkpoint-v2"
 
+# The header line is padded to a multiple of this many bytes.
+HEADER_ALIGN = 64
+
 
 def write_atomic(path, write):
     """Make ``path`` by ``write(tmp)`` on ``tmp = path + ".partial"`` (a
     file or a directory) and a rename over ``path``. A stale ``tmp`` is
     removed first, and a failed write or rename removes ``tmp`` before
-    the error propagates, so no ``.partial`` is left behind."""
+    the error propagates, so no ``.partial`` is left behind. An
+    ``OSError`` of the write that names ``tmp`` (or a file inside it)
+    names ``path`` instead, the file the caller asked for; a failed rename
+    already names both."""
     tmp = path + ".partial"
     _remove(tmp)
     try:
         write(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         _remove(tmp)
+        if (isinstance(e, OSError) and e.filename2 is None
+                and isinstance(e.filename, str) and e.filename.startswith(tmp)):
+            e.filename = path + e.filename[len(tmp):]
         raise
     return path
 
@@ -52,11 +71,12 @@ def save_checkpoint(path, params, extra=None):
         "tensors": [{"name": n, "shape": list(m.shape)} for n, m in named.items()],
         "extra": extra or {},
     }
-    line = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    line += b" " * (-(len(line) + 1) % HEADER_ALIGN) + b"\n"
 
     def write(tmp):
         with open(tmp, "wb") as f:
-            f.write(line.encode("utf-8") + b"\n")
+            f.write(line)
             for m in named.values():
                 # A view of the tensor's own buffer (a copy only on big-endian).
                 f.write(memoryview(np.ascontiguousarray(m.data, dtype="<f8")).cast("B"))
@@ -65,11 +85,15 @@ def save_checkpoint(path, params, extra=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ModelParams, extra dict).
+    """Map a checkpoint; returns (ModelParams, extra dict).
 
-    Each tensor is read straight into its final array: the structure comes
-    from the header's config with uninitialised storage, checked against
-    the header's manifest, and every value is then read from the file.
+    The header, the manifest and the file size are checked before any
+    tensor is touched. The file is then mapped once, copy-on-write, and
+    every parameter is a float64 view into that mapping: a caller pages in
+    only the tensors it reads, and writing into a parameter never reaches
+    the file. A tensor that is not aligned (a header written without
+    padding) or not in native byte order is copied out of the mapping. The
+    mapping is released with the last tensor that views it.
     """
     try:
         f = open(path, "rb")
@@ -94,15 +118,22 @@ def load_checkpoint(path):
         if [name for name, _ in manifest] != list(named):
             raise DataError(f"{path}: tensor manifest does not match the "
                             f"declared model configuration")
+        size = os.fstat(f.fileno()).st_size
+        offsets = []
+        end = len(line)
         for name, shape in manifest:
-            target = named[name].data
-            if target.shape != shape:
+            expected = named[name].shape
+            if expected != shape:
                 raise DataError(f"{path}: tensor {name} has shape {shape}, "
-                                f"expected {target.shape}")
-            if f.readinto(memoryview(target).cast("B")) != target.nbytes:
+                                f"expected {expected}")
+            offsets.append(end)
+            end += 8 * math.prod(shape)
+            if end > size:
                 raise DataError(f"{path}: truncated tensor {name}")
-            if sys.byteorder != "little":
-                target.byteswap(inplace=True)
-        if f.read(1):
+        if end != size:
             raise DataError(f"{path}: trailing bytes after declared tensors")
+        buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+    for (name, shape), offset in zip(manifest, offsets):
+        view = np.frombuffer(buf, "<f8", math.prod(shape), offset).reshape(shape)
+        named[name].data = np.require(view, np.float64, ["C", "A"])
     return params, header.get("extra", {})

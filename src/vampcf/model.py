@@ -240,7 +240,7 @@ def init_params(config, rng, train_matrix=None):
 
 def empty_params(config):
     """Parameters of every shape ``config`` implies, with uninitialised
-    storage: for a loader that overwrites every value."""
+    storage: for a caller that overwrites or replaces every array."""
     params = _build_params(config, lambda rows, cols, blocks: _empty(rows, blocks * cols),
                            partial(_empty, 1))
     if config.prior == "vamp":

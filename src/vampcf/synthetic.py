@@ -29,6 +29,8 @@ def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
     if n_users < 1 or not 1 <= n_archetypes <= n_items or n_items % n_archetypes:
         raise ConfigError(f"cannot give {n_users} users {n_items} items in "
                           f"{n_archetypes} equal non-empty archetype blocks")
+    if min_items > max_items:
+        raise ConfigError(f"min_items {min_items} exceeds max_items {max_items}")
     rng = np.random.default_rng(seed)
     block = n_items // n_archetypes
     width = len(str(n_items - 1))

@@ -1,17 +1,25 @@
-"""Checkpoint file format: bit-identical round trips over the model grid and
-a DataError for every way a file can be damaged."""
+"""Checkpoint file format: bit-identical round trips over the model grid, a
+memory-mapped copy-on-write load, and a DataError for every way a file can
+be damaged."""
 import json
+import mmap
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vampcf
 from vampcf import checkpoint
 from vampcf.checkpoint import load_checkpoint, save_checkpoint
 from vampcf.data import CSRMatrix
 from vampcf.errors import DataError
 from vampcf.gridcheck import grid_cells, tiny_config
-from vampcf.model import init_params
+from vampcf.model import ModelConfig, init_params
 
 VAMP_CELL = {"prior": "vamp", "hierarchy": "two_level", "gated": True,
              "likelihood": "multinomial"}
@@ -78,6 +86,148 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_partial(tmp_path,
         save_checkpoint(str(path), tiny_params(seed=2))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+# -- layout and memory-mapped load ------------------------------------------
+
+def mapping_of(array):
+    """The mmap a loaded tensor views, or None for an array of its own."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else None
+
+
+def assert_native_arrays(loaded):
+    for n, m in loaded.named_parameters().items():
+        flags = m.data.flags
+        assert m.data.dtype == np.float64, n
+        assert flags.c_contiguous and flags.aligned and flags.writeable, n
+
+
+def test_header_is_padded_and_tensor_bytes_unchanged(tmp_path):
+    params = tiny_params()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), params, extra={"note": "x"})
+    raw = path.read_bytes()
+    line, payload = raw[:raw.index(b"\n") + 1], raw[raw.index(b"\n") + 1:]
+    assert len(line) % checkpoint.HEADER_ALIGN == 0
+    compact = line.rstrip(b" \n")
+    assert line == compact + b" " * (len(line) - len(compact) - 1) + b"\n"
+    assert len(line) - len(compact) <= checkpoint.HEADER_ALIGN
+    header = json.loads(compact)
+    assert compact == json.dumps(header, sort_keys=True,
+                                 separators=(",", ":")).encode("utf-8")
+    assert payload == b"".join(m.data.astype("<f8").tobytes()
+                               for m in params.named_parameters().values())
+
+
+def test_loaded_tensors_are_views_into_one_mapping(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), tiny_params())
+    loaded, _ = load_checkpoint(str(path))
+    assert_native_arrays(loaded)
+    maps = {id(mapping_of(m.data)) for m in loaded.named_parameters().values()}
+    assert len(maps) == 1
+    assert isinstance(mapping_of(loaded.pseudo_inputs.data), mmap.mmap)
+
+
+def test_unpadded_header_loads_bit_identically_into_own_arrays(tmp_path):
+    """A header written without padding, as before it was padded, leaves
+    the tensors unaligned: each is copied out of the mapping."""
+    path, header, payload = saved_parts(tmp_path)
+    rewrite(path, header, payload)
+    raw = path.read_bytes()
+    assert raw.index(b"\n") % 8 != 7
+    loaded, _ = load_checkpoint(str(path))
+    assert_native_arrays(loaded)
+    for n, m in tiny_params().named_parameters().items():
+        got = loaded.named_parameters()[n].data
+        assert got.tobytes() == m.data.tobytes(), n
+        assert mapping_of(got) is None, n
+
+
+def test_writing_into_loaded_parameters_leaves_the_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), tiny_params())
+    before = path.read_bytes()
+    loaded, _ = load_checkpoint(str(path))
+    for m in loaded.named_parameters().values():
+        m.data += 1.0
+    assert path.read_bytes() == before
+    again, _ = load_checkpoint(str(path))
+    for n, m in tiny_params().named_parameters().items():
+        assert again.named_parameters()[n].data.tobytes() == m.data.tobytes(), n
+
+
+def test_saving_over_a_loaded_checkpoint_leaves_its_values(tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    old, new = tiny_params(seed=1), tiny_params(seed=2)
+    save_checkpoint(path, old)
+    loaded, _ = load_checkpoint(path)
+    save_checkpoint(path, new)
+    for n, m in old.named_parameters().items():
+        assert loaded.named_parameters()[n].data.tobytes() == m.data.tobytes(), n
+    fresh, _ = load_checkpoint(path)
+    for n, m in new.named_parameters().items():
+        assert fresh.named_parameters()[n].data.tobytes() == m.data.tobytes(), n
+
+
+# The peak RSS of the child itself. ``ru_maxrss`` would not do: Linux
+# carries the peak of the process that started the child (here pytest,
+# often far larger) across exec, so the child's growth would read 0.
+LAZY_SCORE = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from vampcf.autodiff import Matrix
+    from vampcf.checkpoint import load_checkpoint
+    from vampcf.model import score_items
+
+    def peak_bytes():
+        with open("/proc/self/status") as f:
+            line = next(line for line in f if line.startswith("VmHWM:"))
+        return int(line.split()[1]) * 1024
+
+    np.ones((64, 64)) @ np.ones((64, 64))
+    before = peak_bytes()
+    params, _ = load_checkpoint(sys.argv[1])
+    row = np.zeros((1, params.config.n_items))
+    row[0, :5] = 1.0
+    scores = score_items(Matrix(row), params)
+    assert np.isfinite(scores.data).all()
+    print(peak_bytes() - before)
+""")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from Linux /proc")
+def test_scoring_a_loaded_model_pages_in_no_pseudo_inputs(tmp_path):
+    """Scoring reads the encoder and decoder only: loading a vamp model and
+    scoring one user grows the peak RSS by far less than the pseudo-inputs
+    (about 61 MB here), which a load that read every byte would add."""
+    cfg = ModelConfig(n_items=2000, prior="vamp", hidden=8, d_z1=4, d_z2=4,
+                      n_pseudo=4000)
+    params = init_params(cfg, np.random.default_rng(0))
+    pseudo_bytes = params.pseudo_inputs.data.nbytes
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, params)
+    del params
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(vampcf.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCORE, path],
+                          capture_output=True, text=True, env=env, check=True)
+    assert int(proc.stdout) < pseudo_bytes / 2, (proc.stdout, pseudo_bytes)
+
+
+def test_truncation_names_the_first_incomplete_tensor(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), tiny_params())
+    raw = path.read_bytes()
+    path.write_bytes(raw[:raw.index(b"\n") + 1 + 8])
+    assert_rejected(path, "truncated tensor encoder_z2.0.W")
+    path.write_bytes(raw[:-8])
+    assert_rejected(path, "truncated tensor pseudo_inputs")
+    path.write_bytes(raw + b"\0")
+    assert_rejected(path, "trailing bytes")
 
 
 # -- damaged files ----------------------------------------------------------

@@ -19,6 +19,7 @@ from vampcf.autodiff import Matrix
 from vampcf.checkpoint import load_checkpoint
 from vampcf.cli import main
 from vampcf.data import load_split, vocab_fingerprint
+from vampcf.errors import ConfigError
 from vampcf.metrics import ranked_candidates
 from vampcf.model import ElboResult, score_items
 from vampcf.synthetic import archetype_interactions, write_ratings_csv
@@ -82,6 +83,12 @@ class TestSynthetic:
         assert err.startswith("error: ") and "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
+    def test_min_items_above_max_items_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="min_items 5 exceeds max_items 3"):
+            archetype_interactions(10, 6, 2, 0, min_items=5, max_items=3)
+        data = archetype_interactions(10, 6, 2, 0, min_items=3, max_items=3)
+        assert {len(items) for _, items in data} == {3}
+
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         def write_then_fail(data, path):
             write_ratings_csv(data[:2], path)
@@ -90,6 +97,14 @@ class TestSynthetic:
         out = tmp_path / "r.csv"
         assert main(["synthetic", "--users", "10", "--out", str(out)]) == 1
         assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_out_in_missing_directory_names_the_out_path(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "nodir" / "r.csv"
+        assert main(["synthetic", "--users", "10", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert os.listdir(tmp_path) == []
 
 
@@ -305,7 +320,8 @@ class TestEval:
                      "--out", str(tmp_path / "rep"), "--csv", str(csv_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "u.csv.partial" in err
+        assert err.startswith("error: ") and f"'{csv_path}'" in err
+        assert ".partial" not in err
         assert not (tmp_path / "missing").exists()
 
     def test_vocab_mismatch_names_both_fingerprints(self, trained_run,
