@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,35 +62,32 @@ def parse_ratings(path):
 
     A single leading header line is skipped when its rating field is not
     numeric. Any other malformed row, a bad timestamp included, raises
-    DataError with its line number; a valid timestamp is not kept.
+    DataError with its physical line number, and so does a file that
+    cannot be read or decoded as UTF-8; a valid timestamp is not kept.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read ratings file {path}: {e}") from e
-    with fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+    with _csv_reader(path, "ratings file ") as reader:
+        for n, row in enumerate(reader):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) not in (3, 4):
-                raise DataError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(row)}")
+                raise DataError(f"{path}:{reader.line_num}: expected 3 or 4 fields, "
+                                f"got {len(row)}")
             user_id, item_id = row[0].strip(), row[1].strip()
             try:
                 rating = float(row[2])
             except ValueError:
-                if lineno == 1:
+                if n == 0:
                     continue  # header line
-                raise DataError(f"{path}:{lineno}: non-numeric rating {row[2]!r}")
+                raise DataError(f"{path}:{reader.line_num}: non-numeric rating {row[2]!r}")
             if not math.isfinite(rating):
-                raise DataError(f"{path}:{lineno}: non-finite rating")
+                raise DataError(f"{path}:{reader.line_num}: non-finite rating")
             if not user_id or not item_id:
-                raise DataError(f"{path}:{lineno}: empty user or item id")
+                raise DataError(f"{path}:{reader.line_num}: empty user or item id")
             if len(row) == 4 and row[3].strip():
                 try:
                     int(float(row[3]))
                 except (ValueError, OverflowError):
-                    raise DataError(f"{path}:{lineno}: bad timestamp {row[3]!r}")
+                    raise DataError(f"{path}:{reader.line_num}: bad timestamp {row[3]!r}")
             yield user_id, item_id, rating
 
 
@@ -192,11 +190,12 @@ def split(data, n_heldout_users, fold_in_fraction=0.8, seed=0):
 
 
 def _check_item_range(indices, n_items):
-    """ShapeError naming the first index outside [0, n_items)."""
+    """DataError naming the first index outside [0, n_items): the one check
+    on every row built from user vectors."""
     bad = (indices < 0) | (indices >= n_items)
     if bad.any():
-        raise ShapeError(
-            f"item index {int(indices[np.argmax(bad)])} out of bounds for M={n_items}")
+        raise DataError(
+            f"item index {int(indices[np.argmax(bad)])} out of range for {n_items} items")
 
 
 class CSRMatrix:
@@ -343,34 +342,36 @@ def save_split(ds, out_dir):
         fh.write("\n")
 
 
-def _csv_rows(path):
-    """(line number, fields) for each data row of a split csv, after its
-    header; an unreadable file is a ``DataError`` naming it."""
+@contextmanager
+def _csv_reader(path, what=""):
+    """A csv reader over ``path``, whose ``line_num`` is the physical line
+    of the last record read; a file that cannot be opened, decoded as UTF-8
+    or parsed is a ``DataError`` naming it after ``what``."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)  # header
-            for row in reader:
-                yield reader.line_num, row
+            yield csv.reader(fh)
     except (OSError, UnicodeDecodeError, csv.Error) as e:
-        raise DataError(f"cannot read {path}: {e}") from e
+        raise DataError(f"cannot read {what}{path}: {e}") from e
 
 
 def _read_pairs_csv(path, n_items):
     by_user = {}
-    for line, row in _csv_rows(path):
-        try:
-            user, item = int(row[0]), int(row[1])
-        except (ValueError, IndexError):
-            raise DataError(f"{path}: line {line}: expected two integers "
-                            f"user_index,item_index, got {row!r}") from None
-        if not 0 <= item < n_items:
-            raise DataError(
-                f"{path}: item index {item} out of range for {n_items} items")
-        items = by_user.setdefault(user, set())
-        if item in items:
-            raise DataError(f"{path}: line {line}: user {user} lists item {item} twice")
-        items.add(item)
+    with _csv_reader(path) as reader:
+        next(reader, None)  # header
+        for row in reader:
+            try:
+                user, item = int(row[0]), int(row[1])
+            except (ValueError, IndexError):
+                raise DataError(f"{path}: line {reader.line_num}: expected two integers "
+                                f"user_index,item_index, got {row!r}") from None
+            if not 0 <= item < n_items:
+                raise DataError(
+                    f"{path}: item index {item} out of range for {n_items} items")
+            items = by_user.setdefault(user, set())
+            if item in items:
+                raise DataError(f"{path}: line {reader.line_num}: user {user} "
+                                f"lists item {item} twice")
+            items.add(item)
     return {u: np.array(sorted(items), dtype=np.int64) for u, items in by_user.items()}
 
 
@@ -378,10 +379,13 @@ def read_vocab(split_dir):
     """The item ids of a split directory's ``vocab.csv``, in index order."""
     path = os.path.join(split_dir, "vocab.csv")
     vocab = []
-    for line, row in _csv_rows(path):
-        if len(row) < 2:
-            raise DataError(f"{path}: line {line}: expected index,item_id, got {row!r}")
-        vocab.append(row[1])
+    with _csv_reader(path) as reader:
+        next(reader, None)  # header
+        for row in reader:
+            if len(row) < 2:
+                raise DataError(f"{path}: line {reader.line_num}: "
+                                f"expected index,item_id, got {row!r}")
+            vocab.append(row[1])
     return vocab
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Callable scorers get their batch from to_dense_batch; perfbench wraps it
-# by attribute here (``metrics.to_dense_batch``), so the name must stay.
-from .data import CSRMatrix, to_dense_batch
+# Only perfbench's tracer reads ``metrics.to_dense_batch``; this import goes
+# with ROADMAP item 1, when the tracer patches names where they are defined.
+from .data import CSRMatrix, to_dense_batch  # noqa: F401
 from .errors import ConfigError, DataError, NumericalError
 from .model import ModelParams, score_items
 
@@ -88,11 +88,8 @@ def popularity_baseline(train_users, n_items):
     learned model must clear."""
     if not train_users:
         raise DataError("popularity baseline needs a non-empty training set")
-    all_items = np.concatenate([u.item_indices for u in train_users])
-    if all_items.size and not 0 <= all_items.min() <= all_items.max() < n_items:
-        raise DataError(f"popularity baseline: training item indices "
-                        f"{all_items.min()}..{all_items.max()} outside [0, {n_items})")
-    return np.bincount(all_items, minlength=n_items).astype(np.float64)
+    items = CSRMatrix.from_vectors(train_users, n_items).indices
+    return np.bincount(items, minlength=n_items).astype(np.float64)
 
 
 @dataclass
@@ -153,42 +150,18 @@ class MetricReport:
 
 
 def _make_scorer(scorer, n_items):
-    """(n_items, function from a block's fold-in CSR and vectors to its
-    scores)."""
+    """(n_items, function from a block's fold-in CSR to its scores)."""
     if isinstance(scorer, ModelParams):
         m = scorer.config.n_items
         if n_items is not None and n_items != m:
             raise ConfigError(f"model expects {m} items, split has {n_items}")
-        return m, lambda x, fold_in: score_items(x, scorer).data
+        return m, lambda x: score_items(x, scorer).data
     if isinstance(scorer, np.ndarray):
         vec = np.asarray(scorer, dtype=np.float64).ravel()
         if n_items is not None and n_items != vec.size:
             raise ConfigError(f"score vector has {vec.size} items, split has {n_items}")
-        return vec.size, lambda x, fold_in: np.broadcast_to(vec, (x.rows, vec.size))
-    if callable(scorer):
-        if n_items is None:
-            raise ConfigError("callable scorer needs explicit n_items")
-        return n_items, lambda x, fold_in: scorer(to_dense_batch(fold_in, n_items).data)
+        return vec.size, lambda x: np.broadcast_to(vec, (x.rows, vec.size))
     raise ConfigError(f"unsupported scorer type {type(scorer).__name__}")
-
-
-def _check_users(kept, n_items):
-    """Before anything is scored, raise ``DataError`` for an item index
-    outside [0, n_items), then for the first kept user whose fold-in and
-    heldout items overlap."""
-    keys = []
-    for what, side in (("fold-in", 1), ("heldout", 2)):
-        vectors = [user[side] for user in kept]
-        idx = np.concatenate([v.item_indices for v in vectors])
-        if idx.size and (idx.min() < 0 or idx.max() >= n_items):
-            raise DataError(f"{what} item index out of range for {n_items} items")
-        pos = np.repeat(np.arange(len(vectors), dtype=np.int64),
-                        [v.item_indices.size for v in vectors])
-        keys.append(pos * n_items + idx)
-    both = np.intersect1d(*keys)
-    if both.size:
-        raise DataError(f"user {kept[both[0] // n_items][0]}: "
-                        "fold-in and heldout overlap")
 
 
 def _top_k_rows(neg, k):
@@ -236,12 +209,15 @@ def evaluate(users, scorer, ks, n_items=None, fingerprint="",
              keep_per_user=False):
     """Fold-in evaluation: infer latents from each user's fold-in items,
     score everything, mask the fold-in, and measure how well the heldout
-    items rank. ``scorer`` is ModelParams, a static score vector, or a
-    callable mapping a dense fold-in batch to a score matrix; the array it
-    returns is never written to.
+    items rank. ``users`` is a list of (fold-in, heldout) vectors, and
+    ``scorer`` is ModelParams or a static score vector, which is never
+    written to. An item index outside [0, n_items) is a ``DataError``, as
+    is a user whose fold-in and heldout items overlap; both are raised
+    before anything is scored.
 
-    Users are scored and ranked in blocks of ``RANK_BLOCK_ROWS``, each with
-    one exact partial top-k, and every per-user value equals what
+    The kept users' fold-in and heldout rows are built once, as two CSR
+    matrices, and scored and ranked in blocks of ``RANK_BLOCK_ROWS`` rows,
+    each with one exact partial top-k. Every per-user value equals what
     ``ndcg_at_k`` / ``recall_at_k`` give on the same scores.
     """
     ks = sorted(set(int(k) for k in ks))
@@ -253,37 +229,38 @@ def evaluate(users, scorer, ks, n_items=None, fingerprint="",
     ideal = np.array([_dcg(np.ones(n)) for n in range(max_k + 1)])
     discount = np.log2(np.arange(2.0, max_k + 2.0))
 
-    kept = [(u, fi, ho) for u, (fi, ho) in enumerate(users)
-            if ho.item_indices.size > 0]
+    kept = [u for u, (_, ho) in enumerate(users) if ho.item_indices.size > 0]
     n_skipped = len(users) - len(kept)
     if not kept:
         raise DataError("no evaluable users (all heldout sets empty)")
-    _check_users(kept, n_items)
+    fold_in = CSRMatrix.from_vectors([users[u][0] for u in kept], n_items)
+    heldout = CSRMatrix.from_vectors([users[u][1] for u in kept], n_items)
+    both = np.intersect1d(fold_in.row_ids() * n_items + fold_in.indices,
+                          heldout.row_ids() * n_items + heldout.indices)
+    if both.size:
+        raise DataError(f"user {kept[both[0] // n_items]}: "
+                        "fold-in and heldout overlap")
     # One contiguous row per (metric, K), so each mean and standard error
     # sums the same values in the same order as a list would.
     values = {m: np.empty((len(ks), len(kept))) for m in METRIC_NAMES}
 
     for lo in range(0, len(kept), RANK_BLOCK_ROWS):
-        _, fold_in, heldout = zip(*kept[lo:lo + RANK_BLOCK_ROWS])
-        x = CSRMatrix.from_vectors(fold_in, n_items)
-        held = CSRMatrix.from_vectors(heldout, n_items)
-        scores = np.asarray(score_block(x, fold_in), dtype=np.float64)
-        if scores.shape != (x.rows, n_items):
-            raise ConfigError(f"scorer returned {scores.shape}, "
-                              f"expected {(x.rows, n_items)}")
+        block = np.arange(lo, min(lo + RANK_BLOCK_ROWS, len(kept)))
+        x = fold_in.take_rows(block)
+        scores = score_block(x)
         # min and max propagate NaN, so both are finite only when every
         # score is, and neither allocates a block-sized mask.
         if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
             raise NumericalError("scorer returned non-finite scores")
         cols = slice(lo, lo + x.rows)
         values["ndcg"][:, cols], values["recall"][:, cols] = _rank_block(
-            scores, x, held, ks, ideal, discount)
+            scores, x, heldout.take_rows(block), ks, ideal, discount)
         # Freed before the next block is scored, not after.
         del scores
 
     per_user = []
     if keep_per_user:
-        for i, (u, _, _) in enumerate(kept):
+        for i, u in enumerate(kept):
             for j, k in enumerate(ks):
                 for metric in METRIC_NAMES:
                     per_user.append((u, metric, k, float(values[metric][j, i])))

@@ -31,8 +31,12 @@ def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
                           f"{n_archetypes} equal non-empty archetype blocks")
     if min_items > max_items:
         raise ConfigError(f"min_items {min_items} exceeds max_items {max_items}")
-    rng = np.random.default_rng(seed)
     block = n_items // n_archetypes
+    most_in = max(1, round(in_block_fraction * max_items))
+    if most_in > block:
+        raise ConfigError(f"users of up to {max_items} items draw up to {most_in} "
+                          f"from their own block, which has {block} items")
+    rng = np.random.default_rng(seed)
     width = len(str(n_items - 1))
     item_ids = [f"i{j:0{width}d}" for j in range(n_items)]
 
@@ -51,7 +55,7 @@ def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
         n_u = int(rng.integers(min_items, max_items + 1))
         n_in = max(1, round(in_block_fraction * n_u))
         n_out = min(n_u - n_in, other.size)
-        picked_in = rng.choice(own, size=min(n_in, block), replace=False, p=weights)
+        picked_in = rng.choice(own, size=n_in, replace=False, p=weights)
         picked_out = rng.choice(other, size=n_out, replace=False)
         items = tuple(sorted(item_ids[j] for j in np.concatenate([picked_in, picked_out])))
         data.append((f"u{u:0{uwidth}d}", items))

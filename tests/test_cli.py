@@ -62,19 +62,21 @@ def assert_names_both_fingerprints(err, trained_run, split):
 class TestSynthetic:
     def test_writes_the_generator_output(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
-        assert main(["synthetic", "--users", "30", "--items", "20",
+        # Blocks of 40 items hold the 34 in-block draws of a 40-item user.
+        assert main(["synthetic", "--users", "30", "--items", "80",
                      "--archetypes", "2", "--seed", "4", "--out", str(out)]) == 0
         ref = tmp_path / "ref.csv"
-        data = archetype_interactions(30, 20, 2, 4)
+        data = archetype_interactions(30, 80, 2, 4)
         write_ratings_csv(data, str(ref))
         assert out.read_bytes() == ref.read_bytes()
         n_inter = sum(len(items) for _, items in data)
-        assert (f"wrote {out}: 30 users, 20 items, {n_inter} interactions"
+        assert (f"wrote {out}: 30 users, 80 items, {n_inter} interactions"
                 in capsys.readouterr().out)
         assert sorted(os.listdir(tmp_path)) == ["r.csv", "ref.csv"]
 
     @pytest.mark.parametrize("sizes", [["--items", "61", "--archetypes", "3"],
                                        ["--items", "0", "--archetypes", "3"],
+                                       ["--items", "20", "--archetypes", "2"],
                                        ["--archetypes", "0"], ["--users", "0"]])
     def test_sizes_it_cannot_honour_exit_1(self, tmp_path, capsys, sizes):
         out = tmp_path / "r.csv"
@@ -88,6 +90,15 @@ class TestSynthetic:
             archetype_interactions(10, 6, 2, 0, min_items=5, max_items=3)
         data = archetype_interactions(10, 6, 2, 0, min_items=3, max_items=3)
         assert {len(items) for _, items in data} == {3}
+
+    def test_block_smaller_than_the_in_block_draw_is_a_config_error(self):
+        # 6 items in 3 blocks of 2 cannot hold the 34 in-block draws of a
+        # 40-item user; with 2-item users each keeps to its own block.
+        with pytest.raises(ConfigError, match="draw up to 34 .* block, which has 2"):
+            archetype_interactions(6, 6, 3, 0)
+        data = archetype_interactions(6, 6, 3, 0, min_items=2, max_items=2)
+        blocks = [{int(i[1:]) // 2 for i in items} for _, items in data]
+        assert blocks == [{0}, {1}, {2}] * 2
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         def write_then_fail(data, path):
@@ -140,6 +151,16 @@ class TestPrepare:
                      "--heldout-users", "5", "--out", str(tmp_path / "s")])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_undecodable_ratings_file_exits_2(self, tmp_path, capsys):
+        ratings = tmp_path / "r.csv"
+        ratings.write_bytes(b"user_id,item_id,rating\nu1,i\xff,5\n")
+        code = main(["prepare", "--ratings", str(ratings),
+                     "--heldout-users", "5", "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read ratings file {ratings}: ")
+        assert "Traceback" not in err
 
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["prepare", "--heldout-users", "5", "--out", "x"]) == 1
@@ -457,13 +478,22 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--corrupt-cell", "nope"]) == 1
         assert "unknown grid cell 'nope'" in capsys.readouterr().err
 
-    def test_grid_passes(self, capsys):
+    @pytest.fixture
+    def fake_cells(self, monkeypatch):
+        """Cells that report 1e-9, or 1.0 when corrupted, without computing
+        gradients: the real grid is checked by acceptance check 1 and the
+        corrupted cell by test_model's TestElbo."""
+        def check_cell(cell_kwargs, seed=0, beta=1.0, corrupt=False):
+            return 1.0 if corrupt else 1e-9
+        monkeypatch.setattr(gridcheck, "check_cell", check_cell)
+
+    def test_grid_passes(self, fake_cells, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert out.count(" pass") == 12
         assert "all 12 grid cells" in out
 
-    def test_corrupted_cell_is_named(self, capsys):
+    def test_corrupted_cell_is_named(self, fake_cells, capsys):
         cell = "flat-standard-gated-multinomial"
         assert main(["gradcheck", "--corrupt-cell", cell]) == 3
         captured = capsys.readouterr()

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from vampcf.data import (CSRMatrix, DatasetSplit, InteractionVector, ingest,
                          load_split, parse_ratings, save_split, split,
                          to_dense_batch, vocab_fingerprint)
-from vampcf.errors import ConfigError, DataError, ShapeError
+from vampcf.errors import ConfigError, DataError
 
 
 def write_ratings(path, rows, header=None):
@@ -90,6 +91,20 @@ class TestIngest:
     def test_missing_file_is_data_error(self):
         with pytest.raises(DataError):
             list(parse_ratings("/nonexistent/ratings.csv"))
+
+    def test_quoted_field_spanning_lines_keeps_physical_line_numbers(
+            self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text('u1,i0,5\n"u\n1",i1,5\nu1,i2,abc\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r":4: non-numeric rating 'abc'"):
+            list(parse_ratings(str(path)))
+
+    def test_undecodable_file_is_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"u1,i0,5\nu1,i\xff,5\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"cannot read ratings file {path}: 'utf-8' codec can't decode")):
+            list(parse_ratings(str(path)))
 
 
 def unique_histories(n_users=100, pool=60, seed=5):
@@ -227,14 +242,14 @@ class TestDense:
 
     def test_out_of_bounds_rejected(self):
         v = InteractionVector(0, np.array([5], dtype=np.int64))
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError):
             to_dense_batch([v], 4)
 
     def test_negative_index_rejected(self):
         v = InteractionVector(0, np.array([-1, 2], dtype=np.int64))
-        with pytest.raises(ShapeError, match="-1"):
+        with pytest.raises(DataError, match="-1"):
             to_dense_batch([v], 5)
-        with pytest.raises(ShapeError, match="-1"):
+        with pytest.raises(DataError, match="-1"):
             CSRMatrix.from_vectors([v], 5)
 
     def test_unsorted_indices_rejected(self):

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from vampcf import metrics
+from vampcf.autodiff import Matrix
 from vampcf.data import CSRMatrix, InteractionVector, to_dense_batch
 from vampcf.errors import ConfigError, DataError, NumericalError
 from vampcf.metrics import (MetricReport, evaluate, ndcg_at_k,
                             popularity_baseline, ranked_candidates, recall_at_k)
-from vampcf.model import ModelConfig, init_params, score_items
+from vampcf.model import ModelConfig, empty_params, init_params, score_items
 
 
 def brute_rank(scores, mask):
@@ -37,6 +38,15 @@ def brute_recall(scores, heldout, mask, k):
 
 def iv(user, items):
     return InteractionVector(user, np.asarray(sorted(items), dtype=np.int64))
+
+
+def model_scoring(monkeypatch, n_items, scores_of):
+    """A model over ``n_items`` items that evaluate() scores as
+    ``scores_of(x)`` for each fold-in CSR block ``x``: ``metrics.score_items``
+    is replaced, so none of the model runs."""
+    monkeypatch.setattr(metrics, "score_items",
+                        lambda x, params: Matrix(scores_of(x)))
+    return empty_params(ModelConfig(n_items=n_items, hidden=1, d_z1=1, d_z2=1))
 
 
 class TestHandValues:
@@ -187,7 +197,7 @@ class TestPopularityBaseline:
 
     @pytest.mark.parametrize("items", [[0, 7], [-1, 2]])
     def test_item_outside_vocabulary_rejected(self, items):
-        with pytest.raises(DataError, match=r"outside \[0, 5\)"):
+        with pytest.raises(DataError, match="out of range for 5 items"):
             popularity_baseline([iv(0, [1, 3]), iv(1, items)], 5)
 
 
@@ -202,10 +212,10 @@ class TestEvaluate:
             users.append((iv(0, items[:cut]), iv(0, items[cut:])))
         return users
 
-    def test_uniform_scores_match_brute_oracle(self):
+    def test_uniform_scores_match_brute_oracle(self, monkeypatch):
         rng = np.random.default_rng(11)
         users = self.make_users(rng, 25, 15)
-        scorer = lambda dense: np.zeros_like(dense)
+        scorer = model_scoring(monkeypatch, 15, lambda x: np.zeros(x.shape))
         report = evaluate(users, scorer, ks=[3, 5], n_items=15, keep_per_user=True)
         per_user = {(u, metric, k): v for u, metric, k, v in report.per_user}
         for u, (fi, ho) in enumerate(users):
@@ -275,7 +285,7 @@ class TestEvaluate:
         assert 0.0 <= row.mean <= 1.0
 
 
-SCORER_KINDS = ["vector", "callable", "model"]
+SCORER_KINDS = ["vector", "model"]
 
 
 def spy_score_items(monkeypatch):
@@ -296,14 +306,6 @@ def counting_scorer(kind, monkeypatch, n_items=6):
     records each batch it scores (a score vector is never called)."""
     if kind == "vector":
         return np.arange(float(n_items)), []
-    if kind == "callable":
-        calls = []
-
-        def scorer(dense):
-            calls.append(dense)
-            return np.zeros(dense.shape)
-
-        return scorer, calls
     cfg = ModelConfig(n_items=n_items, hidden=4, d_z1=2, d_z2=2)
     return init_params(cfg, np.random.default_rng(0)), spy_score_items(monkeypatch)
 
@@ -326,12 +328,15 @@ class TestBatchedEvaluate:
                           iv(0, perm[n_fold:n_fold + n_held])))
         return users, scores
 
-    def assert_matches_oracle(self, users, scores, ks, scorer=None, **kw):
-        """``scorer`` defaults to one returning the rows of ``scores``."""
+    def assert_matches_oracle(self, monkeypatch, users, scores, ks, scorer=None,
+                              **kw):
+        """``scorer`` defaults to a model that scores the users' rows of
+        ``scores`` in order."""
         m = scores.shape[1]
         rows = iter(range(len(users)))
         if scorer is None:
-            scorer = lambda dense: scores[[next(rows) for _ in dense]]
+            scorer = model_scoring(monkeypatch, m, lambda x: scores[
+                [next(rows) for _ in range(x.rows)]])
         report = evaluate(users, scorer, ks=ks, n_items=m, keep_per_user=True, **kw)
         oracle = {"ndcg": ndcg_at_k, "recall": recall_at_k}
         assert len(report.per_user) == len(users) * len(ks) * 2
@@ -351,22 +356,23 @@ class TestBatchedEvaluate:
         # 600 users: blocks of 512 + 88.
         monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 512)
         users, scores = self.tie_heavy_case(21, 600, 30)
-        self.assert_matches_oracle(users, scores, ks=[1, 3, 7, 25, 40])
+        self.assert_matches_oracle(monkeypatch, users, scores, ks=[1, 3, 7, 25, 40])
 
     def test_largest_k_above_item_count(self, monkeypatch):
         monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 16)
         users, scores = self.tie_heavy_case(22, 40, 9)
-        self.assert_matches_oracle(users, scores, ks=[2, 9, 50])
+        self.assert_matches_oracle(monkeypatch, users, scores, ks=[2, 9, 50])
 
-    def test_all_scores_tied(self):
+    def test_all_scores_tied(self, monkeypatch):
         users, _ = self.tie_heavy_case(23, 50, 20)
-        self.assert_matches_oracle(users, np.zeros((50, 20)), ks=[1, 5, 10])
+        self.assert_matches_oracle(monkeypatch, users, np.zeros((50, 20)),
+                                   ks=[1, 5, 10])
 
     def test_distinct_scores(self, monkeypatch):
         monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 32)
         users, _ = self.tie_heavy_case(24, 70, 25)
         scores = np.random.default_rng(25).normal(size=(70, 25))
-        self.assert_matches_oracle(users, scores, ks=[3, 10])
+        self.assert_matches_oracle(monkeypatch, users, scores, ks=[3, 10])
 
     @pytest.mark.parametrize("hierarchy", ["flat", "two_level"])
     def test_model_on_csr_matches_oracle_on_dense_batch(self, hierarchy, monkeypatch):
@@ -378,7 +384,8 @@ class TestBatchedEvaluate:
                           hidden=8, d_z1=4, d_z2=4, n_pseudo=3)
         params = init_params(cfg, np.random.default_rng(29))
         scores = score_items(to_dense_batch([fi for fi, _ in users], 30), params).data
-        self.assert_matches_oracle(users, scores, ks=[1, 5, 20], scorer=params)
+        self.assert_matches_oracle(monkeypatch, users, scores, ks=[1, 5, 20],
+                                   scorer=params)
 
     def test_model_scored_in_csr_blocks_of_rank_block_rows(self, monkeypatch):
         users, _ = self.tie_heavy_case(30, 600, 30)
@@ -389,17 +396,32 @@ class TestBatchedEvaluate:
         assert [x.rows for x in batches] == [256, 256, 88]
         assert all(isinstance(x, CSRMatrix) for x in batches)
 
+    def test_rows_are_built_once_per_call(self, monkeypatch):
+        # 600 users in 3 blocks: one fold-in and one heldout matrix, each
+        # sliced per block.
+        users, scores = self.tie_heavy_case(30, 600, 30)
+        built = []
+        real = CSRMatrix.from_vectors
+
+        def spy(cls, vectors, n_items):
+            built.append(len(vectors))
+            return real(vectors, n_items)
+
+        monkeypatch.setattr(CSRMatrix, "from_vectors", classmethod(spy))
+        self.assert_matches_oracle(monkeypatch, users, scores, ks=[5])
+        assert built == [600, 600]
+
     def test_scorer_output_left_unchanged(self, monkeypatch):
         monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 8)
         users, scores = self.tie_heavy_case(26, 30, 12)
         returned = []
 
-        def scorer(dense):
-            out = scores[:dense.shape[0]].copy()
+        def scores_of(x):
+            out = scores[:x.rows].copy()
             returned.append((out, out.copy()))
             return out
 
-        evaluate(users, scorer, ks=[3, 5], n_items=12)
+        evaluate(users, model_scoring(monkeypatch, 12, scores_of), ks=[3, 5])
         assert len(returned) == 4
         for out, before in returned:
             assert np.array_equal(out, before)
@@ -415,7 +437,7 @@ class TestBatchedEvaluate:
         with pytest.raises(DataError, match="user 1"):
             evaluate(users, np.arange(6.0), ks=[2])
 
-    @pytest.mark.parametrize("kind", ["callable", "model"])
+    @pytest.mark.parametrize("kind", SCORER_KINDS)
     def test_overlap_in_a_late_block_rejected_before_scoring(self, kind, monkeypatch):
         # 600 good users fill two blocks and most of a third; user 600
         # shares item 3 between fold-in and heldout.
@@ -439,7 +461,7 @@ class TestBatchedEvaluate:
         monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 1)
         users = [(iv(0, [1]), iv(0, [2])), (iv(1, fold_in), iv(1, [4]))]
         scorer, calls = counting_scorer(kind, monkeypatch)
-        with pytest.raises(DataError, match="fold-in item index out of range"):
+        with pytest.raises(DataError, match=f"item index {fold_in[0]} out of range"):
             evaluate(users, scorer, ks=[1], n_items=6)
         assert calls == []
 
@@ -450,12 +472,42 @@ class TestBatchedEvaluate:
         monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 1)
         users = [(iv(0, [1]), iv(0, [2])), (iv(1, [3]), iv(1, heldout))]
         scorer, calls = counting_scorer(kind, monkeypatch)
-        with pytest.raises(DataError, match="heldout item index out of range"):
+        with pytest.raises(DataError, match=f"item index {heldout[0]} out of range"):
             evaluate(users, scorer, ks=[1], n_items=6)
         assert calls == []
 
 
-def test_evaluate_holds_only_a_few_blocks_of_scores():
+# Every row built from user vectors, whoever builds it, is checked by
+# data._check_item_range alone. -1 would mask item 5 by wrapping around,
+# and 6 would index past the row.
+@pytest.mark.parametrize("bad", [-1, 6])
+@pytest.mark.parametrize("site", [
+    "from_vectors", "to_dense_batch", "popularity_baseline", "vector-fold_in",
+    "vector-heldout", "model-fold_in", "model-heldout"])
+def test_out_of_range_index_is_one_data_error(site, bad, monkeypatch):
+    vectors = [iv(0, [1]), iv(1, [bad])]
+    build = {"from_vectors": CSRMatrix.from_vectors,
+             "to_dense_batch": to_dense_batch,
+             "popularity_baseline": popularity_baseline}
+    scored = []
+    if site in build:
+        run = lambda: build[site](vectors, 6)
+    else:
+        # The bad user sits in the second block: nothing is scored first.
+        kind, side = site.split("-")
+        monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 1)
+        scorer, scored = counting_scorer(kind, monkeypatch)
+        fold_in, heldout = (vectors[1], iv(1, [4])) if side == "fold_in" \
+            else (iv(1, [3]), vectors[1])
+        users = [(vectors[0], iv(0, [2])), (fold_in, heldout)]
+        run = lambda: evaluate(users, scorer, ks=[1], n_items=6)
+    with pytest.raises(DataError) as raised:
+        run()
+    assert str(raised.value) == f"item index {bad} out of range for 6 items"
+    assert scored == []
+
+
+def test_evaluate_holds_only_a_few_blocks_of_scores(monkeypatch):
     # 1,500 users at 20k items: one batch of all their scores would be
     # 240 MB. Each block of RANK_BLOCK_ROWS users is scored and ranked
     # alone, so the peak is a few block-sized arrays (41 MB each here)
@@ -468,10 +520,10 @@ def test_evaluate_holds_only_a_few_blocks_of_scores():
         return iv(u, fold_in), iv(u, heldout)
 
     users = [fold(u) for u in range(n_users)]
+    scorer = model_scoring(monkeypatch, n_items, lambda x: x.toarray() + 1.0)
     tracemalloc.start()
     try:
-        report = evaluate(users, lambda dense: dense + 1.0, ks=[100],
-                          n_items=n_items)
+        report = evaluate(users, scorer, ks=[100])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
