@@ -92,14 +92,16 @@ def cmd_train(args):
     ds = load_split(args.data)
     model_cfg = cfg.model_config(n_items=ds.n_items)
     os.makedirs(args.out, exist_ok=True)
-    log_path = os.path.join(args.out, "train_log.jsonl")
+    with open(os.path.join(args.out, "train_log.jsonl"), "w",
+              encoding="utf-8") as log:
+        def progress(record):
+            log.write(json.dumps(record, sort_keys=True) + "\n")
+            log.flush()
+            if not args.quiet:
+                print(f"epoch {record['epoch']:3d}  elbo {record['mean_elbo']:10.3f}  "
+                      f"beta {record['beta']:.3f}  val {record['val_metric']:.5f}")
 
-    def progress(record):
-        print(f"epoch {record['epoch']:3d}  elbo {record['mean_elbo']:10.3f}  "
-              f"beta {record['beta']:.3f}  val {record['val_metric']:.5f}")
-
-    result = train(ds, model_cfg, cfg.train, log_path=log_path,
-                   progress=progress if not args.quiet else None)
+        result = train(ds, model_cfg, cfg.train, progress=progress)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     save_checkpoint(ckpt_path, result.params, extra={
         "vocab_fingerprint": vocab_fingerprint(ds.vocab),
@@ -177,8 +179,7 @@ def cmd_recommend(args):
 
 
 def cmd_gradcheck(args):
-    results = run_grid(seed=args.seed, tolerance=args.tolerance,
-                       corrupt_cell=args.corrupt_cell)
+    results = run_grid(seed=args.seed, corrupt_cell=args.corrupt_cell)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -187,7 +188,7 @@ def cmd_gradcheck(args):
         print(f"gradient check failed: {', '.join(r.name for r in failed)}",
               file=sys.stderr)
         return 3
-    print(f"all {len(results)} grid cells within {args.tolerance:g}")
+    print(f"all {len(results)} grid cells within {TOLERANCE:g}")
     return 0
 
 
@@ -245,7 +246,6 @@ def build_parser():
     sg = sub.add_parser("gradcheck",
                         help="finite-difference check over the model grid")
     sg.add_argument("--seed", type=int, default=0)
-    sg.add_argument("--tolerance", type=float, default=TOLERANCE)
     sg.add_argument("--corrupt-cell", default=None,
                     help="test hook: corrupt this cell's gradients")
     sg.set_defaults(func=cmd_gradcheck)

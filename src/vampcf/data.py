@@ -60,15 +60,15 @@ class DatasetSplit:
 def parse_ratings(path):
     """Yield ``(user_id, item_id, rating)`` from a delimited ratings file.
 
-    A single leading header line is skipped when its rating field is not
-    numeric. Any other malformed row, a bad timestamp included, raises
-    DataError with its physical line number, and so does a file that
-    cannot be read or decoded as UTF-8; a valid timestamp is not kept.
+    Blank lines are skipped, and so is the first other record when its
+    rating field is not numeric (a header). Any other malformed row, a bad
+    timestamp included, raises DataError with its physical line number,
+    and so does a file that cannot be read or decoded as UTF-8; a valid
+    timestamp is not kept.
     """
     with _csv_reader(path, "ratings file ") as reader:
-        for n, row in enumerate(reader):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+        records = (row for row in reader if row and (len(row) > 1 or row[0].strip()))
+        for n, row in enumerate(records):
             if len(row) not in (3, 4):
                 raise DataError(f"{path}:{reader.line_num}: expected 3 or 4 fields, "
                                 f"got {len(row)}")

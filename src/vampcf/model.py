@@ -227,13 +227,14 @@ def init_params(config, rng, train_matrix=None):
     cfg = config
     params = _build_params(cfg, partial(_glorot, rng), _zeros_row)
     if cfg.prior == "vamp":
-        if train_matrix is not None:
+        shape = (cfg.n_pseudo, cfg.n_items)
+        if train_matrix is None:
+            base = rng.normal(0.0, PSEUDO_NOISE, size=shape)
+        else:
             n = train_matrix.shape[0]
             rows = rng.choice(n, size=cfg.n_pseudo, replace=cfg.n_pseudo > n)
             base = train_matrix.take_rows(rows).toarray()
-        else:
-            base = np.zeros((cfg.n_pseudo, cfg.n_items))
-        base = base + rng.normal(0.0, PSEUDO_NOISE, size=base.shape)
+            base += rng.normal(0.0, PSEUDO_NOISE, size=shape)
         params.pseudo_inputs = Matrix(base, requires_grad=True)
     return params
 
@@ -322,11 +323,11 @@ def prepare_input(x, dropout_rate=0.0, rng=None):
     return x.with_data(vals)
 
 
-def encode_z2(x, params, dropout_rate=0.0, rng=None):
+def encode_z2(x, params):
     """Variational posterior over the top latent given an interaction row."""
     if x.cols != params.config.n_items:
         raise ShapeError(f"encode_z2: {x.cols} columns vs n_items={params.config.n_items}")
-    return _encode_z2_prepared(prepare_input(x, dropout_rate, rng), params)
+    return _encode_z2_prepared(prepare_input(x), params)
 
 
 def _encode_z2_prepared(h, params):
@@ -343,11 +344,11 @@ def _encode_z1_prepared(h, z2_value, params):
                      params.head_z1)
 
 
-def encode_z1(x, z2, params, dropout_rate=0.0, rng=None):
+def encode_z1(x, z2, params):
     """Lower-latent posterior; consumes the normalized input and the z2 draw."""
     if not params.config.two_level:
         raise ConfigError("encode_z1 requires a two_level model")
-    return _encode_z1_prepared(prepare_input(x, dropout_rate, rng), z2, params)
+    return _encode_z1_prepared(prepare_input(x), z2, params)
 
 
 def _lower_latent(h, z2, params, draw):

@@ -2,12 +2,12 @@
 
 The generator partitions the item set into equal-size blocks, one per
 preference archetype. Each user belongs to one archetype (round-robin by
-user number) and draws most of their items from their own block, where
-per-item popularity decays with the item's rank inside the block, plus a
-small uniform tail from the other blocks. The decay gives a global
-popularity ranking some signal while leaving plenty of headroom for a
-model that identifies the user's archetype, which is what end-to-end
-learning checks exploit.
+user number) and draws ``IN_BLOCK_FRACTION`` of their items from their own
+block, where per-item popularity decays with the item's rank inside the
+block at the rate ``DECAY``, and the rest uniformly from the other
+blocks. The decay gives a global popularity ranking some signal while
+leaving plenty of headroom for a model that identifies the user's
+archetype, which is what end-to-end learning checks exploit.
 
 ``vampcf synthetic`` writes a ratings csv from the command line.
 """
@@ -17,10 +17,13 @@ import numpy as np
 
 from .errors import ConfigError
 
+IN_BLOCK_FRACTION = 0.85  # share of a user's items from their own block
+DECAY = 0.8  # popularity inside a block falls as 1 / (rank + 3) ** DECAY
+RATING = 5.0  # the rating written for every interaction
+
 
 def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
-                           min_items=15, max_items=40, in_block_fraction=0.85,
-                           decay=0.8):
+                           min_items=15, max_items=40):
     """Generate (user_id, item_id tuple) pairs in ingest's output format.
 
     Item ids are zero-padded so lexicographic order matches block layout.
@@ -32,7 +35,7 @@ def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
     if min_items > max_items:
         raise ConfigError(f"min_items {min_items} exceeds max_items {max_items}")
     block = n_items // n_archetypes
-    most_in = max(1, round(in_block_fraction * max_items))
+    most_in = max(1, round(IN_BLOCK_FRACTION * max_items))
     if most_in > block:
         raise ConfigError(f"users of up to {max_items} items draw up to {most_in} "
                           f"from their own block, which has {block} items")
@@ -42,7 +45,7 @@ def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
 
     # per-block popularity profile, shared by all blocks
     ranks = np.arange(block, dtype=np.float64)
-    weights = 1.0 / (ranks + 3.0) ** decay
+    weights = 1.0 / (ranks + 3.0) ** DECAY
     weights /= weights.sum()
 
     data = []
@@ -53,7 +56,7 @@ def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
         other = np.concatenate([np.arange(0, a * block),
                                 np.arange((a + 1) * block, n_items)])
         n_u = int(rng.integers(min_items, max_items + 1))
-        n_in = max(1, round(in_block_fraction * n_u))
+        n_in = max(1, round(IN_BLOCK_FRACTION * n_u))
         n_out = min(n_u - n_in, other.size)
         picked_in = rng.choice(own, size=n_in, replace=False, p=weights)
         picked_out = rng.choice(other, size=n_out, replace=False)
@@ -62,12 +65,13 @@ def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
     return data
 
 
-def write_ratings_csv(data, path, rating=5.0):
-    """Emit generator output as a ``user_id,item_id,rating`` file."""
+def write_ratings_csv(data, path):
+    """Emit generator output as a ``user_id,item_id,rating`` file, every
+    rating ``RATING``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["user_id", "item_id", "rating"])
         for user_id, items in data:
             for item_id in items:
-                w.writerow([user_id, item_id, rating])
+                w.writerow([user_id, item_id, RATING])
 

@@ -6,9 +6,10 @@ with the ranking metric named in the config. The best-scoring parameters
 are kept in one snapshot buffer, refilled in place at each improving
 epoch; training stops when the metric has not improved for
 ``patience`` consecutive epochs, at ``max_epochs``, or on the first
-non-finite loss or gradient (best snapshot retained).
+non-finite loss or gradient (best snapshot retained). Each epoch's
+record is handed to the caller's ``progress`` callback and kept in the
+returned log; ``train`` writes no files.
 """
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -24,6 +25,8 @@ from .metrics import METRIC_NAMES, evaluate
 from .model import elbo, init_params
 
 ANNEAL_EPOCHS_DEFAULT = 20
+
+ADAM_CONSTANTS = (0.9, 0.999, 1e-8)  # Adam's beta1, beta2 and eps
 
 
 @dataclass
@@ -88,7 +91,7 @@ class OptimizerState:
                    v={n: np.zeros_like(p.data) for n, p in named.items()})
 
 
-def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, state, lr):
     """Bias-corrected adaptive-moment update over every named parameter.
 
     Returns the global L2 norm of the gradients. Every gradient is checked
@@ -123,7 +126,7 @@ def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     state.step += 1
     for name, p in named.items():
         kernels.adam_update(p.data, grads[name], state.m[name], state.v[name],
-                            state.step, lr, beta1, beta2, eps)
+                            state.step, lr, *ADAM_CONSTANTS)
     return norm
 
 
@@ -154,9 +157,10 @@ def _batches(order, batch_size):
         yield order[start:start + batch_size]
 
 
-def train(split, model_cfg, cfg, log_path=None, progress=None):
+def train(split, model_cfg, cfg, progress=None):
     """Optimize -ELBO on the split's training users; returns the best
-    snapshot by validation metric plus the per-epoch log."""
+    snapshot by validation metric plus the per-epoch log. Each epoch's
+    record goes to ``progress`` as it joins the log."""
     if not split.train_users:
         raise DataError("split has no training users")
     if not split.validation_users:
@@ -181,66 +185,53 @@ def train(split, model_cfg, cfg, log_path=None, progress=None):
     log = []
     stopped = "max_epochs"
     step = 0
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
-        for epoch in range(cfg.max_epochs):
-            t0 = time.perf_counter()
-            order = rng.permutation(n)
-            sums = np.zeros(4)
-            grad_norm_sum = 0.0
-            aborted = None
+    for epoch in range(cfg.max_epochs):
+        t0 = time.perf_counter()
+        order = rng.permutation(n)
+        sums = np.zeros(4)
+        grad_norm_sum = 0.0
+        try:
             for rows in _batches(order, cfg.batch_size):
-                beta = beta_at(step, cfg)
                 x = train_matrix.take_rows(rows)
-                try:
-                    with Tape() as tape:
-                        res = elbo(x, params, beta, rng=rng,
-                                   dropout_rate=cfg.dropout_rate)
-                        loss = ad.scale(res.elbo, -1.0)
-                        if not math.isfinite(loss.item()):
-                            raise NumericalError(
-                                f"non-finite loss at epoch {epoch} step {step}")
-                        tape.backward(loss)
-                    grad_norm_sum += adam_step(params, state, cfg.learning_rate)
-                    # Gone before the next forward, validation and snapshot.
-                    params.zero_grad()
-                except NumericalError as e:
-                    aborted = str(e)
-                    break
+                with Tape() as tape:
+                    res = elbo(x, params, beta_at(step, cfg), rng=rng,
+                               dropout_rate=cfg.dropout_rate)
+                    loss = ad.scale(res.elbo, -1.0)
+                    if not math.isfinite(loss.item()):
+                        raise NumericalError(
+                            f"non-finite loss at epoch {epoch} step {step}")
+                    tape.backward(loss)
+                grad_norm_sum += adam_step(params, state, cfg.learning_rate)
+                # Gone before the next forward, validation and snapshot.
+                params.zero_grad()
                 sums += rows.size * np.array([
                     res.elbo.item(), res.recon.item(),
                     res.kl_z1.item(), res.kl_z2_ce.item()])
                 step += 1
-            if aborted is not None:
-                stopped = f"numerical: {aborted}"
-                break
+        except NumericalError as e:
+            stopped = f"numerical: {e}"
+            break
 
-            report = evaluate(split.validation_users, params, ks=[metric_k])
-            val = report.row(metric_name, metric_k).mean
-            record = {
-                "epoch": epoch,
-                "mean_elbo": sums[0] / n, "mean_recon": sums[1] / n,
-                "mean_kl_z1": sums[2] / n, "mean_kl_z2": sums[3] / n,
-                "beta": beta_at(step, cfg), "val_metric": val,
-                "mean_grad_norm": grad_norm_sum / steps_per_epoch,
-                "wall_seconds": time.perf_counter() - t0,
-            }
-            log.append(record)
-            if log_file:
-                log_file.write(json.dumps(record, sort_keys=True) + "\n")
-                log_file.flush()
-            if progress:
-                progress(record)
+        report = evaluate(split.validation_users, params, ks=[metric_k])
+        val = report.row(metric_name, metric_k).mean
+        record = {
+            "epoch": epoch,
+            "mean_elbo": sums[0] / n, "mean_recon": sums[1] / n,
+            "mean_kl_z1": sums[2] / n, "mean_kl_z2": sums[3] / n,
+            "beta": beta_at(step, cfg), "val_metric": val,
+            "mean_grad_norm": grad_norm_sum / steps_per_epoch,
+            "wall_seconds": time.perf_counter() - t0,
+        }
+        log.append(record)
+        if progress:
+            progress(record)
 
-            if val > best_metric:
-                best_metric, best_epoch = val, epoch
-                best_params.copy_from(params)
-            if epoch - best_epoch >= cfg.patience:
-                stopped = "early_stopping"
-                break
-    finally:
-        if log_file:
-            log_file.close()
+        if val > best_metric:
+            best_metric, best_epoch = val, epoch
+            best_params.copy_from(params)
+        if epoch - best_epoch >= cfg.patience:
+            stopped = "early_stopping"
+            break
 
     return TrainResult(params=best_params, best_epoch=best_epoch,
                        best_metric=best_metric, log=log, stopped=stopped)

@@ -173,8 +173,12 @@ class TestTrain:
         log = os.path.join(trained_run, "train_log.jsonl")
         assert os.path.exists(ckpt) and os.path.exists(log)
         records = [json.loads(line) for line in open(log, encoding="utf-8")]
-        assert len(records) == 2
-        assert {"epoch", "mean_elbo", "beta", "val_metric"} <= records[0].keys()
+        # Line i is epoch i's whole record.
+        assert [r["epoch"] for r in records] == [0, 1]
+        for r in records:
+            assert r.keys() == {"epoch", "mean_elbo", "mean_recon", "mean_kl_z1",
+                                "mean_kl_z2", "beta", "val_metric",
+                                "mean_grad_norm", "wall_seconds"}
 
         params, extra = load_checkpoint(ckpt)
         ds = load_split(split_dir)
@@ -478,12 +482,20 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--corrupt-cell", "nope"]) == 1
         assert "unknown grid cell 'nope'" in capsys.readouterr().err
 
+    def test_tolerance_is_not_a_flag(self, monkeypatch, capsys):
+        # Every cell is checked against gridcheck.TOLERANCE.
+        def check_cell(*args, **kwargs):
+            raise AssertionError("a grid cell ran")
+        monkeypatch.setattr(gridcheck, "check_cell", check_cell)
+        assert main(["gradcheck", "--tolerance", "1e-3"]) == 1
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
     @pytest.fixture
     def fake_cells(self, monkeypatch):
         """Cells that report 1e-9, or 1.0 when corrupted, without computing
         gradients: the real grid is checked by acceptance check 1 and the
         corrupted cell by test_model's TestElbo."""
-        def check_cell(cell_kwargs, seed=0, beta=1.0, corrupt=False):
+        def check_cell(cell_kwargs, seed=0, corrupt=False):
             return 1.0 if corrupt else 1e-9
         monkeypatch.setattr(gridcheck, "check_cell", check_cell)
 
@@ -491,7 +503,7 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert out.count(" pass") == 12
-        assert "all 12 grid cells" in out
+        assert f"all 12 grid cells within {gridcheck.TOLERANCE:g}" in out
 
     def test_corrupted_cell_is_named(self, fake_cells, capsys):
         cell = "flat-standard-gated-multinomial"

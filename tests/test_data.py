@@ -53,6 +53,19 @@ class TestIngest:
                              header="user_id,item_id,rating")
         assert len(ingest(path)) == 1
 
+    def test_header_after_leading_blank_lines(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("\n \nuser_id,item_id,rating\nu1,i0,5\n",
+                        encoding="utf-8")
+        assert list(parse_ratings(str(path))) == [("u1", "i0", 5.0)]
+
+    def test_only_the_first_nonblank_record_can_be_a_header(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("\nuser_id,item_id,rating\n\nu1,i0,5\nu1,i1,rating\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r":5: non-numeric rating 'rating'"):
+            list(parse_ratings(str(path)))
+
     def test_timestamp_column_ignored(self, tmp_path):
         rows = [("u1", f"i{j}", 4.0, 1234567 + j) for j in range(5)]
         data = ingest(write_ratings(tmp_path / "r.csv", rows))

@@ -323,15 +323,13 @@ class TestTrainLoop:
         train(tiny_split(), tiny_model_cfg(), tiny_train_cfg(max_epochs=2))
         assert held == [[], []]
 
-    def test_log_file_is_json_lines(self, tmp_path):
-        import json
-        path = tmp_path / "train.jsonl"
+    def test_progress_receives_the_log_records_in_order(self):
+        seen = []
         result = train(tiny_split(), tiny_model_cfg(), tiny_train_cfg(),
-                       log_path=str(path))
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == result.epochs_run
-        for i, line in enumerate(lines):
-            assert json.loads(line)["epoch"] == i
+                       progress=seen.append)
+        assert result.epochs_run > 1
+        assert seen == result.log
+        assert [r["epoch"] for r in seen] == list(range(result.epochs_run))
 
 
 class TestSingleBatchOverfit:
