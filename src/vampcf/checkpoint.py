@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 # init_params is not used here; perfbench wraps ``checkpoint.init_params`` by
 # attribute to count parameter initialisations, so the name must stay.
-from .model import ModelConfig, empty_params, init_params  # noqa: F401
+from .model import ModelConfig, empty_params, init_params, param_shapes  # noqa: F401
 
 FORMAT_NAME = "vampcf-checkpoint-v2"
 
@@ -87,13 +87,14 @@ def save_checkpoint(path, params, extra=None):
 def load_checkpoint(path):
     """Map a checkpoint; returns (ModelParams, extra dict).
 
-    The header, the manifest and the file size are checked before any
-    tensor is touched. The file is then mapped once, copy-on-write, and
-    every parameter is a float64 view into that mapping: a caller pages in
-    only the tensors it reads, and writing into a parameter never reaches
-    the file. A tensor that is not aligned (a header written without
-    padding) or not in native byte order is copied out of the mapping. The
-    mapping is released with the last tensor that views it.
+    The header, the manifest, the declared config and the file size are
+    checked against each other before any tensor is allocated. The file is
+    then mapped once, copy-on-write, and every parameter is a float64 view
+    into that mapping: a caller pages in only the tensors it reads, and
+    writing into a parameter never reaches the file. A tensor that is not
+    aligned (a header written without padding) or not in native byte order
+    is copied out of the mapping. The mapping is released with the last
+    tensor that views it.
     """
     try:
         f = open(path, "rb")
@@ -107,33 +108,40 @@ def load_checkpoint(path):
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"{path}: invalid checkpoint header: {e}") from e
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: checkpoint header is not a JSON object")
         if header.get("format") != FORMAT_NAME:
             raise DataError(f"{path}: unknown checkpoint format {header.get('format')!r}")
+        extra = header.get("extra", {})
+        if not isinstance(extra, dict):
+            raise DataError(f"{path}: checkpoint header's extra is not a JSON object")
         try:
-            params = empty_params(ModelConfig(**header["config"]))
+            config = ModelConfig(**header["config"])
             manifest = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
         except (KeyError, TypeError, ValueError, ConfigError) as e:
             raise DataError(f"{path}: malformed checkpoint header: {e!r}") from e
-        named = params.named_parameters()
-        if [name for name, _ in manifest] != list(named):
+        shapes = param_shapes(config)
+        if [name for name, _ in manifest] != list(shapes):
             raise DataError(f"{path}: tensor manifest does not match the "
                             f"declared model configuration")
         size = os.fstat(f.fileno()).st_size
         offsets = []
         end = len(line)
         for name, shape in manifest:
-            expected = named[name].shape
+            expected = shapes[name]
             if expected != shape:
                 raise DataError(f"{path}: tensor {name} has shape {shape}, "
                                 f"expected {expected}")
             offsets.append(end)
-            end += 8 * math.prod(shape)
+            end += 8 * math.prod(expected)
             if end > size:
                 raise DataError(f"{path}: truncated tensor {name}")
         if end != size:
             raise DataError(f"{path}: trailing bytes after declared tensors")
         buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
-    for (name, shape), offset in zip(manifest, offsets):
+    params = empty_params(config)
+    named = params.named_parameters()
+    for (name, shape), offset in zip(shapes.items(), offsets):
         view = np.frombuffer(buf, "<f8", math.prod(shape), offset).reshape(shape)
         named[name].data = np.require(view, np.float64, ["C", "A"])
-    return params, header.get("extra", {})
+    return params, extra

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import load_config
-from .data import (CSRMatrix, InteractionVector, ingest, load_split, read_vocab,
-                   save_split, split, vocab_fingerprint)
+from .data import (CSRMatrix, InteractionVector, ingest, load_split, read_heldout_users,
+                   read_vocab, save_split, split, vocab_fingerprint)
 from .errors import ConfigError, DataError, NumericalError, VampCFError
 from .gridcheck import TOLERANCE, run_grid
 from .metrics import evaluate, ranked_candidates
@@ -30,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+
+def _seed(text):
+    """A ``--seed`` value: an integer >= 0, as numpy's generators need."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _write_text(path, text):
@@ -134,9 +141,9 @@ def _parse_ks(text):
 def cmd_eval(args):
     ks = _parse_ks(args.ks)
     params, extra = load_checkpoint(args.checkpoint)
-    ds = load_split(args.data)
-    fp = _checked_vocab_fingerprint(extra, ds.vocab)
-    users = ds.test_users if args.split == "test" else ds.validation_users
+    vocab = read_vocab(args.data)
+    fp = _checked_vocab_fingerprint(extra, vocab)
+    users = read_heldout_users(args.data, args.split, len(vocab))
     report = evaluate(users, params, ks=ks,
                       fingerprint=f"{fp}:{_config_fingerprint(params.config)}",
                       keep_per_user=bool(args.csv))
@@ -170,7 +177,7 @@ def cmd_recommend(args):
     if not known:
         raise DataError("no usable items in the interaction list")
     mask = sorted(index_of[i] for i in set(known))
-    x = CSRMatrix.from_vectors([InteractionVector(0, mask)], len(vocab))
+    x = CSRMatrix.from_vectors([InteractionVector(mask)], len(vocab))
     scores = score_items(x, params).data[0]
     top = ranked_candidates(scores, set(mask))[:args.top_n]
     for idx in top:
@@ -203,7 +210,7 @@ def build_parser():
     sy.add_argument("--users", type=int, default=1200)
     sy.add_argument("--items", type=int, default=300)
     sy.add_argument("--archetypes", type=int, default=3)
-    sy.add_argument("--seed", type=int, default=0)
+    sy.add_argument("--seed", type=_seed, default=0)
     sy.add_argument("--out", required=True, help="ratings csv to write")
     sy.set_defaults(func=cmd_synthetic)
 
@@ -213,7 +220,7 @@ def build_parser():
     sp.add_argument("--min-items", type=int, default=5)
     sp.add_argument("--heldout-users", type=int, required=True)
     sp.add_argument("--fold-in-fraction", type=float, default=0.8)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True, help="split directory to create")
     sp.set_defaults(func=cmd_prepare)
 
@@ -245,7 +252,7 @@ def build_parser():
 
     sg = sub.add_parser("gradcheck",
                         help="finite-difference check over the model grid")
-    sg.add_argument("--seed", type=int, default=0)
+    sg.add_argument("--seed", type=_seed, default=0)
     sg.add_argument("--corrupt-cell", default=None,
                     help="test hook: corrupt this cell's gradients")
     sg.set_defaults(func=cmd_gradcheck)

@@ -26,8 +26,7 @@ from .errors import ConfigError, DataError, ShapeError
 
 @dataclass
 class InteractionVector:
-    """A user's binarized consumption history as sorted item indices."""
-    user_index: int
+    """A user's binarized item indices, sorted; the user is its list position."""
     item_indices: np.ndarray
 
     def __post_init__(self):
@@ -135,27 +134,22 @@ def split(data, n_heldout_users, fold_in_fraction=0.8, seed=0):
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_users)
-    val_set = set(perm[:n_heldout_users].tolist())
-    test_set = set(perm[n_heldout_users:2 * n_heldout_users].tolist())
-
-    train_data = [data[i] for i in range(n_users)
-                  if i not in val_set and i not in test_set]
+    validation_rows = np.sort(perm[:n_heldout_users])
+    test_rows = np.sort(perm[n_heldout_users:2 * n_heldout_users])
+    train_data = [data[i] for i in np.sort(perm[2 * n_heldout_users:])]
     vocab = sorted({item for _, items in train_data for item in items})
     index_of = {item: i for i, item in enumerate(vocab)}
 
     train_users = [
-        InteractionVector(u, np.array([index_of[it] for it in items], dtype=np.int64))
-        for u, (_, items) in enumerate(train_data)
+        InteractionVector(np.array([index_of[it] for it in items], dtype=np.int64))
+        for _, items in train_data
     ]
 
     diagnostics = {"discarded_validation": 0, "discarded_test": 0}
 
-    def fold_users(member_set, diag_key):
+    def fold_users(rows, diag_key):
         pairs = []
-        user_index = 0
-        for i in range(n_users):
-            if i not in member_set:
-                continue
+        for i in rows:
             _, items = data[i]
             idx = np.array(sorted(index_of[it] for it in items if it in index_of),
                            dtype=np.int64)
@@ -169,13 +163,11 @@ def split(data, n_heldout_users, fold_in_fraction=0.8, seed=0):
                 diagnostics[diag_key] += 1
                 continue
             fold_in = np.sort(idx[order[:n_fold]])
-            pairs.append((InteractionVector(user_index, fold_in),
-                          InteractionVector(user_index, heldout)))
-            user_index += 1
+            pairs.append((InteractionVector(fold_in), InteractionVector(heldout)))
         return pairs
 
-    validation_users = fold_users(val_set, "discarded_validation")
-    test_users = fold_users(test_set, "discarded_test")
+    validation_users = fold_users(validation_rows, "discarded_validation")
+    test_users = fold_users(test_rows, "discarded_test")
 
     return DatasetSplit(
         vocab=vocab,
@@ -306,14 +298,14 @@ def _write_pairs_csv(path, rows):
 
 
 def _user_rows(users):
-    for v in users:
+    for u, v in enumerate(users):
         for i in v.item_indices:
-            yield (v.user_index, int(i))
+            yield (u, int(i))
 
 
 def save_split(ds, out_dir):
     """Write a split directory: vocab.csv, train.csv, the four fold-in /
-    heldout files, and meta.json."""
+    heldout files (users numbered by list position), and meta.json."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "vocab.csv"), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -355,6 +347,7 @@ def _csv_reader(path, what=""):
 
 
 def _read_pairs_csv(path, n_items):
+    """A pairs file's vectors in user order; users must be numbered 0..n-1."""
     by_user = {}
     with _csv_reader(path) as reader:
         next(reader, None)  # header
@@ -372,7 +365,11 @@ def _read_pairs_csv(path, n_items):
                 raise DataError(f"{path}: line {reader.line_num}: user {user} "
                                 f"lists item {item} twice")
             items.add(item)
-    return {u: np.array(sorted(items), dtype=np.int64) for u, items in by_user.items()}
+    if sorted(by_user) != list(range(len(by_user))):
+        raise DataError(f"{path}: users must be numbered 0..{len(by_user) - 1}, "
+                        f"got {min(by_user)}..{max(by_user)}")
+    return [InteractionVector(np.array(sorted(by_user[u]), dtype=np.int64))
+            for u in range(len(by_user))]
 
 
 def read_vocab(split_dir):
@@ -389,6 +386,18 @@ def read_vocab(split_dir):
     return vocab
 
 
+def read_heldout_users(split_dir, kind, n_items):
+    """The (fold-in, heldout) pairs of ``kind`` ("validation" or "test") in
+    user order, read from that kind's two files alone."""
+    tr_name, te_name = _PAIR_FILES[kind]
+    fold_in = _read_pairs_csv(os.path.join(split_dir, tr_name), n_items)
+    heldout = _read_pairs_csv(os.path.join(split_dir, te_name), n_items)
+    if len(fold_in) != len(heldout):
+        raise DataError(f"{split_dir}: {tr_name} lists {len(fold_in)} users "
+                        f"but {te_name} lists {len(heldout)}")
+    return list(zip(fold_in, heldout))
+
+
 def load_split(split_dir):
     """Reconstruct a DatasetSplit from a directory written by save_split."""
     meta_path = os.path.join(split_dir, "meta.json")
@@ -400,25 +409,12 @@ def load_split(split_dir):
     if not isinstance(meta, dict) or "seed" not in meta:
         raise DataError(f"{meta_path}: split metadata has no seed")
     vocab = read_vocab(split_dir)
-
     n_items = len(vocab)
-    train_map = _read_pairs_csv(os.path.join(split_dir, "train.csv"), n_items)
-    train_users = [InteractionVector(u, train_map[u]) for u in sorted(train_map)]
-
-    def load_pairs(kind):
-        tr_name, te_name = _PAIR_FILES[kind]
-        tr = _read_pairs_csv(os.path.join(split_dir, tr_name), n_items)
-        te = _read_pairs_csv(os.path.join(split_dir, te_name), n_items)
-        if sorted(tr) != sorted(te):
-            raise DataError(f"{kind}: fold-in and heldout user sets differ")
-        return [(InteractionVector(u, tr[u]), InteractionVector(u, te[u]))
-                for u in sorted(tr)]
-
     return DatasetSplit(
         vocab=vocab,
-        train_users=train_users,
-        validation_users=load_pairs("validation"),
-        test_users=load_pairs("test"),
+        train_users=_read_pairs_csv(os.path.join(split_dir, "train.csv"), n_items),
+        validation_users=read_heldout_users(split_dir, "validation", n_items),
+        test_users=read_heldout_users(split_dir, "test", n_items),
         seed=meta["seed"],
         params=meta.get("params", {}),
         diagnostics=meta.get("diagnostics", {}),

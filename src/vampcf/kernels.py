@@ -41,10 +41,8 @@ def softplus(x):
 
 
 def softplus_bwd(x, g):
-    # The logistic of x, written out rather than calling ``sigmoid``:
-    # perfbench wraps the public kernel names, and a call from here would
-    # be counted as a sigmoid call of its own.
-    return g * (0.5 * np.tanh(0.5 * x) + 0.5)
+    # softplus'(x) is the logistic of x.
+    return g * sigmoid(x)
 
 
 def _sum_exp_shifted(x, m, buf):

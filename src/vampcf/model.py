@@ -239,6 +239,16 @@ def init_params(config, rng, train_matrix=None):
     return params
 
 
+def param_shapes(config):
+    """{name: shape} of every parameter ``config`` implies, in
+    ``named_parameters`` order, with nothing allocated."""
+    params = _build_params(config, lambda rows, cols, blocks: (rows, blocks * cols),
+                           lambda n: (1, n))
+    if config.prior == "vamp":
+        params.pseudo_inputs = (config.n_pseudo, config.n_items)
+    return params.named_parameters()
+
+
 def empty_params(config):
     """Parameters of every shape ``config`` implies, with uninitialised
     storage: for a caller that overwrites or replaces every array."""

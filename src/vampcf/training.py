@@ -48,12 +48,15 @@ class TrainConfig:
             raise ConfigError("anneal_steps must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if self.patience < 0:
             raise ConfigError("patience must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         parse_metric(self.eval_metric)
 
     def to_dict(self):

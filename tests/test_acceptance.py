@@ -92,8 +92,8 @@ def test_2_metric_oracle_equivalence(capsys):
         mask = set(owned[:n_mask].tolist())
         heldout = set(owned[n_mask:n_mask + n_held].tolist())
         # The same instance through the batched evaluation path.
-        report = evaluate([(InteractionVector(0, sorted(mask)),
-                            InteractionVector(0, sorted(heldout)))],
+        report = evaluate([(InteractionVector(sorted(mask)),
+                            InteractionVector(sorted(heldout)))],
                           scores, ks=[k], keep_per_user=True)
         batched = {metric: v for _, metric, _, v in report.per_user}
         worst = max(

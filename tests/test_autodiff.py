@@ -2,6 +2,7 @@
 import inspect
 import math
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -201,8 +202,13 @@ PRIMITIVE_CASES = [
 @pytest.mark.parametrize("name", PRIMITIVE_CASES)
 def test_primitive_gradients_at_100_random_points(name):
     """Every differentiable primitive agrees with central differences."""
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for point in _random_points(rng, 100, (2, 3)):
+        if name == "clamp":
+            # Central differences within eps of a kink of clamp(x, -1.5, 1.5)
+            # mix its two slopes, so points within 1e-3 of ±1.5 move 2e-3 out.
+            near = np.abs(np.abs(point) - 1.5) < 1e-3
+            point[near] += np.copysign(2e-3, point[near])
         x = Matrix(point, requires_grad=True)
         w = Matrix(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
         b = Matrix(rng.uniform(-1, 1, size=(1, 3)), requires_grad=True)

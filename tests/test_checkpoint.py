@@ -19,7 +19,7 @@ from vampcf.checkpoint import load_checkpoint, save_checkpoint
 from vampcf.data import CSRMatrix
 from vampcf.errors import DataError
 from vampcf.gridcheck import grid_cells, tiny_config
-from vampcf.model import ModelConfig, init_params
+from vampcf.model import ModelConfig, init_params, param_shapes
 
 VAMP_CELL = {"prior": "vamp", "hierarchy": "two_level", "gated": True,
              "likelihood": "multinomial"}
@@ -336,3 +336,31 @@ def test_trailing_bytes_rejected(tmp_path):
     path, header, payload = saved_parts(tmp_path)
     rewrite(path, header, payload + b"\0")
     assert_rejected(path, "trailing bytes")
+
+
+def test_header_that_is_not_an_object_rejected(tmp_path):
+    path, _, payload = saved_parts(tmp_path)
+    path.write_bytes(b"[]\n" + payload)
+    assert_rejected(path, "header is not a JSON object")
+
+
+def test_extra_that_is_not_an_object_rejected(tmp_path):
+    path, header, payload = saved_parts(tmp_path)
+    header["extra"] = ["vocab_fingerprint"]
+    rewrite(path, header, payload)
+    assert_rejected(path, "extra is not a JSON object")
+
+
+@pytest.mark.parametrize("manifest", ["declared", "empty"])
+def test_huge_declared_model_rejected_before_allocating(tmp_path, manifest):
+    """A header line alone that declares a model of 10^9 items and 10^6
+    hidden units (exabytes of float64) is rejected from its header and the
+    file size: nothing of that size is allocated."""
+    cfg = ModelConfig(n_items=10**9, hidden=10**6, prior="standard")
+    tensors = [] if manifest == "empty" else [
+        {"name": n, "shape": list(s)} for n, s in param_shapes(cfg).items()]
+    path = tmp_path / "model.ckpt"
+    rewrite(path, {"format": checkpoint.FORMAT_NAME, "config": cfg.to_dict(),
+                   "tensors": tensors, "extra": {}}, b"")
+    assert_rejected(path, "truncated tensor encoder_z2.0.W" if manifest == "declared"
+                    else "manifest does not match")

@@ -243,6 +243,28 @@ class TestTrain:
         assert code == 2
         assert "meta.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("seed", "-1"), ("learning_rate", "nan"),
+                                           ("learning_rate", "inf")])
+    def test_negative_seed_or_non_finite_learning_rate_exits_1(
+            self, split_dir, tmp_path, key, value, capsys):
+        code = main(["train", "--data", split_dir, "--out", str(tmp_path / "r"),
+                     "--set", f"train.{key}={value}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "r").exists()
+
+    def test_user_numbers_with_a_gap_exit_2(self, split_dir, tmp_path, capsys):
+        broken = tmp_path / "s"
+        shutil.copytree(split_dir, broken)
+        lines = (broken / "train.csv").read_text().splitlines()
+        (broken / "train.csv").write_text("".join(
+            f"{line}\n" for line in lines if not line.startswith("3,")))
+        code = main(["train", "--data", str(broken), "--out", str(tmp_path / "r"),
+                     "--quiet", *TINY_MODEL_OVERRIDES, *TINY_TRAIN_OVERRIDES])
+        assert code == 2
+        assert "train.csv: users must be numbered 0.." in capsys.readouterr().err
+
     def test_out_under_a_file_exits_1(self, split_dir, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -405,6 +427,99 @@ class TestEval:
         assert "vocab.csv" in capsys.readouterr().err
 
 
+    @staticmethod
+    def pairs_by_user(path):
+        """{user number: item indices} of a split's pairs file."""
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))[1:]
+        users = {}
+        for user, item in rows:
+            users.setdefault(int(user), []).append(int(item))
+        return users
+
+    def test_csv_user_numbers_name_the_split_file_users(self, trained_run,
+                                                        split_dir, tmp_path):
+        # Rows in reverse order: a user is named by its number, not its place.
+        data = tmp_path / "s"
+        shutil.copytree(split_dir, data)
+        for name in ("test_tr.csv", "test_te.csv"):
+            header, *rows = (data / name).read_text().splitlines()
+            (data / name).write_text("\n".join([header, *reversed(rows)]) + "\n")
+        ckpt = os.path.join(trained_run, "model.ckpt")
+        csv_path = tmp_path / "per_user.csv"
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(data),
+                     "--ks", "5,10", "--out", str(tmp_path / "rep"),
+                     "--csv", str(csv_path)]) == 0
+        fold_in = self.pairs_by_user(data / "test_tr.csv")
+        heldout = self.pairs_by_user(data / "test_te.csv")
+        params, _ = load_checkpoint(ckpt)
+        oracle = {"ndcg": metrics.ndcg_at_k, "recall": metrics.recall_at_k}
+        with open(csv_path, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert {int(r["user_index"]) for r in rows} == set(fold_in) == set(heldout)
+        for r in rows:
+            u = int(r["user_index"])
+            x = np.zeros((1, params.config.n_items))
+            x[0, fold_in[u]] = 1.0
+            scores = score_items(Matrix(x), params).data[0]
+            expect = oracle[r["metric"]](scores, heldout[u], fold_in[u], int(r["k"]))
+            assert float(r["value"]) == pytest.approx(expect, abs=1e-9), r
+
+    def test_reads_only_vocab_and_the_scored_split_files(self, trained_run,
+                                                         split_dir, tmp_path):
+        ckpt = os.path.join(trained_run, "model.ckpt")
+        only = tmp_path / "s"
+        only.mkdir()
+        for name in ("vocab.csv", "test_tr.csv", "test_te.csv"):
+            shutil.copy(os.path.join(split_dir, name), only / name)
+        for data, out in ((split_dir, "full"), (only, "only")):
+            assert main(["eval", "--checkpoint", ckpt, "--data", str(data),
+                         "--ks", "5,10", "--out", str(tmp_path / out)]) == 0
+        assert read_tree(tmp_path / "full") == read_tree(tmp_path / "only")
+
+    def test_missing_heldout_file_exits_2_naming_it(self, trained_run, split_dir,
+                                                    tmp_path, capsys):
+        broken = tmp_path / "s"
+        shutil.copytree(split_dir, broken)
+        (broken / "test_te.csv").unlink()
+        code = main(["eval", "--checkpoint",
+                     os.path.join(trained_run, "model.ckpt"),
+                     "--data", str(broken), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "test_te.csv" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_user_numbers_with_a_gap_exit_2(self, trained_run, split_dir,
+                                            tmp_path, capsys):
+        # User 0 is gone from both test files: the file's user 1 must not be
+        # reported as user 0.
+        broken = tmp_path / "s"
+        shutil.copytree(split_dir, broken)
+        for name in ("test_tr.csv", "test_te.csv"):
+            lines = (broken / name).read_text().splitlines()
+            (broken / name).write_text("".join(
+                f"{line}\n" for line in lines if not line.startswith("0,")))
+        code = main(["eval", "--checkpoint",
+                     os.path.join(trained_run, "model.ckpt"),
+                     "--data", str(broken), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "test_tr.csv: users must be numbered 0.." in capsys.readouterr().err
+
+    def test_checkpoint_extra_not_an_object_exits_2(self, trained_run, split_dir,
+                                                    tmp_path, capsys):
+        raw = Path(trained_run, "model.ckpt").read_bytes()
+        line, _, payload = raw.partition(b"\n")
+        header = json.loads(line)
+        header["extra"] = "not an object"
+        line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(line + b"\n" + payload)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", split_dir,
+                     "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert f"{ckpt}: checkpoint header's extra" in capsys.readouterr().err
+
+
 class TestRecommend:
     def run(self, trained_run, split_dir, items, top_n=5, extra=()):
         return main(["recommend", "--checkpoint",
@@ -512,6 +627,17 @@ class TestGradcheckCommand:
         assert f"gradient check failed: {cell}" in captured.err
         assert captured.out.count(" pass") == 11
         assert captured.out.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["synthetic", "--out", "r.csv"],
+    ["prepare", "--ratings", "r.csv", "--heldout-users", "1", "--out", "s"],
+    ["gradcheck"]])
+def test_negative_seed_exits_1(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--seed", "-1"]) == 1
+    assert "seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 class TestEntryPoints:

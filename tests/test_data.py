@@ -237,11 +237,11 @@ class TestSplit:
 
 class TestDense:
     def test_example_vector(self):
-        v = InteractionVector(0, np.array([0, 2], dtype=np.int64))
+        v = InteractionVector(np.array([0, 2], dtype=np.int64))
         assert to_dense_batch([v], 4).data.tolist() == [[1.0, 0.0, 1.0, 0.0]]
 
     def test_empty_indices_zero_vector(self):
-        v = InteractionVector(0, np.array([], dtype=np.int64))
+        v = InteractionVector(np.array([], dtype=np.int64))
         assert to_dense_batch([v], 3).data.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_round_trip_identity(self):
@@ -249,17 +249,17 @@ class TestDense:
         for _ in range(20):
             m = int(rng.integers(3, 12))
             idx = np.sort(rng.choice(m, size=rng.integers(1, m), replace=False))
-            dense = to_dense_batch([InteractionVector(0, idx.astype(np.int64))], m)
+            dense = to_dense_batch([InteractionVector(idx.astype(np.int64))], m)
             back = np.flatnonzero(dense.data[0])
             assert np.array_equal(back, idx)
 
     def test_out_of_bounds_rejected(self):
-        v = InteractionVector(0, np.array([5], dtype=np.int64))
+        v = InteractionVector(np.array([5], dtype=np.int64))
         with pytest.raises(DataError):
             to_dense_batch([v], 4)
 
     def test_negative_index_rejected(self):
-        v = InteractionVector(0, np.array([-1, 2], dtype=np.int64))
+        v = InteractionVector(np.array([-1, 2], dtype=np.int64))
         with pytest.raises(DataError, match="-1"):
             to_dense_batch([v], 5)
         with pytest.raises(DataError, match="-1"):
@@ -267,16 +267,16 @@ class TestDense:
 
     def test_unsorted_indices_rejected(self):
         with pytest.raises(DataError):
-            InteractionVector(0, np.array([3, 1], dtype=np.int64))
+            InteractionVector(np.array([3, 1], dtype=np.int64))
         with pytest.raises(DataError):
-            InteractionVector(0, np.array([2, 2], dtype=np.int64))
+            InteractionVector(np.array([2, 2], dtype=np.int64))
 
 
 class TestCSRMatrix:
     def vectors(self):
-        return [InteractionVector(0, np.array([1, 4], dtype=np.int64)),
-                InteractionVector(1, np.array([], dtype=np.int64)),
-                InteractionVector(2, np.array([0, 2, 5], dtype=np.int64))]
+        return [InteractionVector(np.array([1, 4], dtype=np.int64)),
+                InteractionVector(np.array([], dtype=np.int64)),
+                InteractionVector(np.array([0, 2, 5], dtype=np.int64))]
 
     def test_from_vectors_matches_dense_batch(self):
         x = CSRMatrix.from_vectors(self.vectors(), 6)
@@ -383,6 +383,42 @@ class TestSplitArtifact:
         path.write_text("\n".join(lines + [lines[1]]) + "\n")
         with pytest.raises(DataError, match=f"{name}: line {len(lines) + 1}: "
                                             f"user {user} lists item {item} twice"):
+            load_split(str(out))
+
+    @staticmethod
+    def drop_user(path, user):
+        """Remove every row of ``user`` from a pairs file."""
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{line}\n" for line in lines
+                                if line.split(",")[0] != str(user)))
+
+    def test_users_are_numbered_by_position(self, tmp_path):
+        ds = split(unique_histories(40), n_heldout_users=5, seed=12)
+        out = self.saved_split(tmp_path)
+        for name, users in [("train.csv", ds.train_users),
+                            ("test_tr.csv", [fi for fi, _ in ds.test_users]),
+                            ("test_te.csv", [ho for _, ho in ds.test_users])]:
+            rows = [line.split(",")
+                    for line in (out / name).read_text().splitlines()[1:]]
+            expected = [[str(u), str(i)] for u, v in enumerate(users)
+                        for i in v.item_indices]
+            assert rows == expected, name
+
+    @pytest.mark.parametrize("name", ["train.csv", "validation_tr.csv", "test_te.csv"])
+    @pytest.mark.parametrize("user", [0, 2])
+    def test_users_not_numbered_from_zero_without_gaps_rejected(self, tmp_path,
+                                                                 name, user):
+        out = self.saved_split(tmp_path)
+        self.drop_user(out / name, user)
+        with pytest.raises(DataError, match=f"{name}: users must be numbered 0.."):
+            load_split(str(out))
+
+    def test_fold_in_and_heldout_must_list_the_same_users(self, tmp_path):
+        out = self.saved_split(tmp_path)
+        last = (out / "test_te.csv").read_text().splitlines()[-1].split(",")[0]
+        self.drop_user(out / "test_te.csv", last)
+        with pytest.raises(DataError, match=f"test_tr.csv lists {int(last) + 1} "
+                                            f"users but test_te.csv lists {last}"):
             load_split(str(out))
 
     def test_short_vocab_row_rejected(self, tmp_path):

@@ -36,8 +36,8 @@ def brute_recall(scores, heldout, mask, k):
     return len(set(top) & set(heldout)) / min(k, len(heldout))
 
 
-def iv(user, items):
-    return InteractionVector(user, np.asarray(sorted(items), dtype=np.int64))
+def iv(items):
+    return InteractionVector(np.asarray(sorted(items), dtype=np.int64))
 
 
 def model_scoring(monkeypatch, n_items, scores_of):
@@ -177,16 +177,16 @@ class TestPopularityBaseline:
         rng = np.random.default_rng(10)
         users = []
         m = 12
-        for u in range(30):
+        for _ in range(30):
             n = int(rng.integers(1, 6))
-            users.append(iv(u, rng.choice(m, size=n, replace=False)))
+            users.append(iv(rng.choice(m, size=n, replace=False)))
         counts = popularity_baseline(users, m)
         tally = [sum(1 for u in users if i in set(u.item_indices.tolist()))
                  for i in range(m)]
         assert counts.tolist() == tally
 
     def test_universal_item_is_maximal(self):
-        users = [iv(u, [0, u + 1]) for u in range(5)]
+        users = [iv([0, u + 1]) for u in range(5)]
         counts = popularity_baseline(users, 7)
         assert counts[0] == counts.max() == 5.0
         assert counts[6] == 0.0
@@ -198,7 +198,7 @@ class TestPopularityBaseline:
     @pytest.mark.parametrize("items", [[0, 7], [-1, 2]])
     def test_item_outside_vocabulary_rejected(self, items):
         with pytest.raises(DataError, match="out of range for 5 items"):
-            popularity_baseline([iv(0, [1, 3]), iv(1, items)], 5)
+            popularity_baseline([iv([1, 3]), iv(items)], 5)
 
 
 class TestEvaluate:
@@ -209,7 +209,7 @@ class TestEvaluate:
             cut = max(1, int(0.8 * items.size))
             if cut == items.size:
                 cut -= 1
-            users.append((iv(0, items[:cut]), iv(0, items[cut:])))
+            users.append((iv(items[:cut]), iv(items[cut:])))
         return users
 
     def test_uniform_scores_match_brute_oracle(self, monkeypatch):
@@ -248,19 +248,19 @@ class TestEvaluate:
     def test_empty_heldout_users_skipped_and_counted(self):
         rng = np.random.default_rng(14)
         users = self.make_users(rng, 4, 10)
-        users.append((iv(0, [1, 2, 3]), iv(0, [])))
+        users.append((iv([1, 2, 3]), iv([])))
         report = evaluate(users, rng.normal(size=10), ks=[3])
         assert report.n_skipped == 1
         assert report.n_users == 4
 
     def test_all_users_degenerate_rejected(self):
-        users = [(iv(0, [1, 2]), iv(0, []))]
+        users = [(iv([1, 2]), iv([]))]
         with pytest.raises(DataError):
             evaluate(users, np.zeros(5), ks=[2])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):
-        users = [(iv(0, [1, 2]), iv(0, [3]))]
+        users = [(iv([1, 2]), iv([3]))]
         vec = np.array([0.1, 0.2, bad, 0.4, 0.5])
         with pytest.raises(NumericalError):
             evaluate(users, vec, ks=[2])
@@ -324,8 +324,8 @@ class TestBatchedEvaluate:
             n_fold = int(rng.integers(0, m - 1))
             perm = rng.permutation(m)
             n_held = int(rng.integers(1, m - n_fold + 1))
-            users.append((iv(0, perm[:n_fold]),
-                          iv(0, perm[n_fold:n_fold + n_held])))
+            users.append((iv(perm[:n_fold]),
+                          iv(perm[n_fold:n_fold + n_held])))
         return users, scores
 
     def assert_matches_oracle(self, monkeypatch, users, scores, ks, scorer=None,
@@ -433,7 +433,7 @@ class TestBatchedEvaluate:
         assert np.array_equal(vec, scores[0])
 
     def test_overlap_rejected(self):
-        users = [(iv(0, [0, 1]), iv(0, [2])), (iv(0, [1, 3]), iv(0, [3, 4]))]
+        users = [(iv([0, 1]), iv([2])), (iv([1, 3]), iv([3, 4]))]
         with pytest.raises(DataError, match="user 1"):
             evaluate(users, np.arange(6.0), ks=[2])
 
@@ -441,15 +441,15 @@ class TestBatchedEvaluate:
     def test_overlap_in_a_late_block_rejected_before_scoring(self, kind, monkeypatch):
         # 600 good users fill two blocks and most of a third; user 600
         # shares item 3 between fold-in and heldout.
-        users = [(iv(u, [0, 1]), iv(u, [2])) for u in range(600)]
-        users.append((iv(600, [1, 3]), iv(600, [3, 4])))
+        users = [(iv([0, 1]), iv([2])) for _ in range(600)]
+        users.append((iv([1, 3]), iv([3, 4])))
         scorer, calls = counting_scorer(kind, monkeypatch)
         with pytest.raises(DataError, match="user 600: fold-in and heldout overlap"):
             evaluate(users, scorer, ks=[1], n_items=6)
         assert calls == []
 
     def test_heldout_index_out_of_range_rejected(self):
-        users = [(iv(0, [0, 1]), iv(0, [2, 6]))]
+        users = [(iv([0, 1]), iv([2, 6]))]
         with pytest.raises(DataError, match="out of range"):
             evaluate(users, np.arange(6.0), ks=[2])
 
@@ -459,7 +459,7 @@ class TestBatchedEvaluate:
     def test_fold_in_index_out_of_range_rejected(self, kind, fold_in, monkeypatch):
         # The bad user sits in the second block: nothing is scored first.
         monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 1)
-        users = [(iv(0, [1]), iv(0, [2])), (iv(1, fold_in), iv(1, [4]))]
+        users = [(iv([1]), iv([2])), (iv(fold_in), iv([4]))]
         scorer, calls = counting_scorer(kind, monkeypatch)
         with pytest.raises(DataError, match=f"item index {fold_in[0]} out of range"):
             evaluate(users, scorer, ks=[1], n_items=6)
@@ -470,7 +470,7 @@ class TestBatchedEvaluate:
     def test_heldout_index_out_of_range_rejected_before_scoring(
             self, kind, heldout, monkeypatch):
         monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 1)
-        users = [(iv(0, [1]), iv(0, [2])), (iv(1, [3]), iv(1, heldout))]
+        users = [(iv([1]), iv([2])), (iv([3]), iv(heldout))]
         scorer, calls = counting_scorer(kind, monkeypatch)
         with pytest.raises(DataError, match=f"item index {heldout[0]} out of range"):
             evaluate(users, scorer, ks=[1], n_items=6)
@@ -485,7 +485,7 @@ class TestBatchedEvaluate:
     "from_vectors", "to_dense_batch", "popularity_baseline", "vector-fold_in",
     "vector-heldout", "model-fold_in", "model-heldout"])
 def test_out_of_range_index_is_one_data_error(site, bad, monkeypatch):
-    vectors = [iv(0, [1]), iv(1, [bad])]
+    vectors = [iv([1]), iv([bad])]
     build = {"from_vectors": CSRMatrix.from_vectors,
              "to_dense_batch": to_dense_batch,
              "popularity_baseline": popularity_baseline}
@@ -497,9 +497,9 @@ def test_out_of_range_index_is_one_data_error(site, bad, monkeypatch):
         kind, side = site.split("-")
         monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 1)
         scorer, scored = counting_scorer(kind, monkeypatch)
-        fold_in, heldout = (vectors[1], iv(1, [4])) if side == "fold_in" \
-            else (iv(1, [3]), vectors[1])
-        users = [(vectors[0], iv(0, [2])), (fold_in, heldout)]
+        fold_in, heldout = (vectors[1], iv([4])) if side == "fold_in" \
+            else (iv([3]), vectors[1])
+        users = [(vectors[0], iv([2])), (fold_in, heldout)]
         run = lambda: evaluate(users, scorer, ks=[1], n_items=6)
     with pytest.raises(DataError) as raised:
         run()
@@ -515,11 +515,11 @@ def test_evaluate_holds_only_a_few_blocks_of_scores(monkeypatch):
     n_users, n_items = 1500, 20000
     rng = np.random.default_rng(0)
 
-    def fold(u):
+    def fold():
         fold_in, heldout = np.split(rng.choice(n_items, 12, replace=False), [8])
-        return iv(u, fold_in), iv(u, heldout)
+        return iv(fold_in), iv(heldout)
 
-    users = [fold(u) for u in range(n_users)]
+    users = [fold() for _ in range(n_users)]
     scorer = model_scoring(monkeypatch, n_items, lambda x: x.toarray() + 1.0)
     tracemalloc.start()
     try:

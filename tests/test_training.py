@@ -88,6 +88,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(dropout_rate=1.0)
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+
 
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
@@ -379,15 +388,14 @@ def random_split(n_users, n_items):
     def items(n):
         return rng.choice(n_items, n, replace=False)
 
-    def fold(u):
+    def fold():
         fold_in, heldout = np.split(items(12), [8])
-        return (InteractionVector(u, np.sort(fold_in)),
-                InteractionVector(u, np.sort(heldout)))
+        return InteractionVector(np.sort(fold_in)), InteractionVector(np.sort(heldout))
 
     return DatasetSplit(vocab=[str(i) for i in range(n_items)],
-                        train_users=[InteractionVector(u, np.sort(items(20)))
-                                     for u in range(n_users)],
-                        validation_users=[fold(u) for u in range(20)],
+                        train_users=[InteractionVector(np.sort(items(20)))
+                                     for _ in range(n_users)],
+                        validation_users=[fold() for _ in range(20)],
                         test_users=[], seed=0)
 
 
