@@ -126,6 +126,8 @@ def split(data, n_heldout_users, fold_in_fraction=0.8, seed=0):
         raise ConfigError(f"fold_in_fraction must be in (0, 1), got {fold_in_fraction}")
     if n_heldout_users < 1:
         raise ConfigError("n_heldout_users must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     data = sorted(data)
     n_users = len(data)
     if 2 * n_heldout_users >= n_users:

@@ -61,6 +61,8 @@ def check_cell(cell_kwargs, seed=0, corrupt=False):
     gradients disagree with finite differences; a negative control for
     the checker itself.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg = tiny_config(**cell_kwargs)
     rng = np.random.default_rng(seed)
     x_train = _tiny_batch(rng, 8, cfg.n_items)

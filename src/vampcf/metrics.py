@@ -21,8 +21,9 @@ from .model import ModelParams, score_items
 METRIC_NAMES = ("ndcg", "recall")
 
 # Users scored and ranked at once, so memory does not grow with the number
-# of users. At 20k items a block's scores, their negated copy and the
-# partition indices are about 120 MB.
+# of users. At 20k items a block's scores, the one buffer its negated copy
+# is written into, and its partition indices are 41 MB each, and at most
+# two of them are alive at once.
 RANK_BLOCK_ROWS = 256
 
 
@@ -184,18 +185,15 @@ def _top_k_rows(neg, k):
     return np.take_along_axis(top, order, axis=1)
 
 
-def _rank_block(scores, fold_in, heldout, ks, ideal, discount):
+def _rank_block(neg, fold_in, heldout, ks, ideal, discount):
     """NDCG and recall, each (len(ks), rows), of a block of users ranked on
-    ``scores``; ``fold_in`` and ``heldout`` are the block's disjoint CSR
-    rows."""
-    fi_rows = fold_in.row_ids()
-    held = np.zeros(scores.shape, dtype=bool)
+    ``neg``, their negated scores, whose fold-in items it overwrites;
+    ``fold_in`` and ``heldout`` are the block's disjoint CSR rows."""
+    held = np.zeros(neg.shape, dtype=bool)
     held[heldout.row_ids(), heldout.indices] = True
-    # A negated copy: the scorer's array stays untouched, and the fold-in
-    # items sort after every finite score. Past a user's unmasked count the
-    # top-k holds fold-in items, which are never hits.
-    neg = np.negative(scores)
-    neg[fi_rows, fold_in.indices] = np.inf
+    # Fold-in items sort after every finite score. Past a user's unmasked
+    # count the top-k holds fold-in items, which are never hits.
+    neg[fold_in.row_ids(), fold_in.indices] = np.inf
     top = _top_k_rows(neg, discount.size)
     hits = np.take_along_axis(held, top, axis=1).astype(np.float64)
     gains = hits / discount
@@ -235,28 +233,31 @@ def evaluate(users, scorer, ks, n_items=None, fingerprint="",
         raise DataError("no evaluable users (all heldout sets empty)")
     fold_in = CSRMatrix.from_vectors([users[u][0] for u in kept], n_items)
     heldout = CSRMatrix.from_vectors([users[u][1] for u in kept], n_items)
+    # Keys row * n_items + index are strictly increasing in each CSR.
     both = np.intersect1d(fold_in.row_ids() * n_items + fold_in.indices,
-                          heldout.row_ids() * n_items + heldout.indices)
+                          heldout.row_ids() * n_items + heldout.indices,
+                          assume_unique=True)
     if both.size:
         raise DataError(f"user {kept[both[0] // n_items]}: "
                         "fold-in and heldout overlap")
     # One contiguous row per (metric, K), so each mean and standard error
     # sums the same values in the same order as a list would.
     values = {m: np.empty((len(ks), len(kept))) for m in METRIC_NAMES}
+    # Each block's negated scores, written here rather than into the
+    # scorer's array, which stays untouched.
+    buf = np.empty((min(RANK_BLOCK_ROWS, len(kept)), n_items))
 
     for lo in range(0, len(kept), RANK_BLOCK_ROWS):
         block = np.arange(lo, min(lo + RANK_BLOCK_ROWS, len(kept)))
         x = fold_in.take_rows(block)
-        scores = score_block(x)
+        neg = np.negative(score_block(x), out=buf[:x.rows])
         # min and max propagate NaN, so both are finite only when every
         # score is, and neither allocates a block-sized mask.
-        if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
+        if not (np.isfinite(neg.min()) and np.isfinite(neg.max())):
             raise NumericalError("scorer returned non-finite scores")
         cols = slice(lo, lo + x.rows)
         values["ndcg"][:, cols], values["recall"][:, cols] = _rank_block(
-            scores, x, heldout.take_rows(block), ks, ideal, discount)
-        # Freed before the next block is scored, not after.
-        del scores
+            neg, x, heldout.take_rows(block), ks, ideal, discount)
 
     per_user = []
     if keep_per_user:

@@ -263,22 +263,12 @@ def empty_params(config):
 # Forward pieces
 # ---------------------------------------------------------------------------
 
-def _product(x, w, tail):
-    """``[x | tail] @ w``: a row gather for a CSR ``x``, else one GEMM."""
-    if isinstance(x, CSRMatrix):
-        return ad.sparse_matmul(x, w, tail)
-    return ad.matmul(x, w)
-
-
 def gated_layer(x, p, gated, tail=None):
     """(hW + b) * sigmoid(hV + c) when gated, else tanh(hW + b), for
     h = [x | tail]; a ``tail`` (dense columns after x's) needs a CSR x.
     A gated layer's ``p`` holds ``[W|V]`` and ``[b|c]``: one product, whose
     columns split into the linear path and the gate."""
-    width = x.cols + (0 if tail is None else tail.cols)
-    if width != p.W.rows:
-        raise ShapeError(f"gated_layer: input width {width} vs weight {p.W.shape}")
-    pre = ad.add(_product(x, p.W, tail), p.b)
+    pre = ad.linear(x, p.W, p.b, tail)
     if not gated:
         return ad.tanh(pre)
     lin, gate = ad.split_cols(pre, p.W.cols // 2)
@@ -294,7 +284,7 @@ def _run_trunk(h, layers, gated, tail=None):
 
 def _run_head(h, p):
     """A diagonal Gaussian from one product with ``[mean|log_var]``."""
-    mean, log_var = ad.split_cols(ad.add(ad.matmul(h, p.W), p.b), p.W.cols // 2)
+    mean, log_var = ad.split_cols(ad.linear(h, p.W, p.b), p.W.cols // 2)
     return GaussianParams(mean, ad.clamp(log_var, LOG_VAR_MIN, LOG_VAR_MAX))
 
 
@@ -399,7 +389,7 @@ def decode(z1, z2, params):
     if h.cols != expected:
         raise ConfigError(f"decode: latent width {h.cols}, expected {expected}")
     h = _run_trunk(h, params.decoder, cfg.gated)
-    return ad.add(ad.matmul(h, params.head_out.W), params.head_out.b)
+    return ad.linear(h, params.head_out.W, params.head_out.b)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
                           f"{n_archetypes} equal non-empty archetype blocks")
     if min_items > max_items:
         raise ConfigError(f"min_items {min_items} exceeds max_items {max_items}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     block = n_items // n_archetypes
     most_in = max(1, round(IN_BLOCK_FRACTION * max_items))
     if most_in > block:

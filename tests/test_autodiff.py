@@ -196,6 +196,7 @@ PRIMITIVE_CASES = [
     "clamp", "concat_cols", "transpose", "l2_normalize_rows",
     "split_cols", "split_cols_left_only", "split_cols_right_only",
     "multinomial_log_lik", "bernoulli_log_lik",
+    "linear", "linear_one_row", "linear_csr", "linear_csr_tail",
 ]
 
 
@@ -282,6 +283,24 @@ def test_primitive_gradients_at_100_random_points(name):
             f = lambda: ad.sum_all(ad.mul(lik(x, target),
                                           ad.constant([[0.7], [-0.3]])))
             params = [x]
+        elif name in ("linear", "linear_one_row"):
+            # [1, 3] @ (3, 2) + (1, 2) and [2, 3] @ (3, 2) + (1, 2).
+            h = x if name == "linear" else Matrix(point[:1], requires_grad=True)
+            c = Matrix(rng.uniform(-1, 1, size=(1, 2)), requires_grad=True)
+            probe_h = ad.constant(rng.uniform(-1, 1, size=(h.rows, 2)))
+            f = lambda: ad.sum_all(ad.mul(ad.tanh(ad.linear(h, k, c)), probe_h))
+            params = [h, k, c]
+        elif name == "linear_csr":
+            # A 2 x 2 CSR batch (row 0 empty) times the point as its weight.
+            batch = _random_csr(rng, 2, 2, density=0.6)[0]
+            f = lambda: ad.sum_all(ad.mul(ad.tanh(ad.linear(batch, x, b)), probe))
+            params = [x, b]
+        elif name == "linear_csr_tail":
+            # [2 x 3 CSR | the point as tail] @ (6, 3) + (1, 3).
+            batch = _random_csr(rng, 2, 3, density=0.6)[0]
+            wt = Matrix(rng.uniform(-1, 1, size=(6, 3)), requires_grad=True)
+            f = lambda: ad.sum_all(ad.mul(ad.tanh(ad.linear(batch, wt, b, x)), probe))
+            params = [x, wt, b]
         elif name in ("split_cols_left_only", "split_cols_right_only"):
             # The other half is never used, so its gradient stays None.
             side = 0 if name == "split_cols_left_only" else 1
@@ -300,9 +319,11 @@ def _csr_2x3():
 # name -> (primitive applied to its Matrix operands, operand shapes)
 RECORDING_CASES = {
     "matmul": (ad.matmul, [(2, 3), (3, 2)]),
-    "sparse_matmul": (lambda w: ad.sparse_matmul(_csr_2x3(), w), [(3, 2)]),
-    "sparse_matmul_tail": (lambda w, t: ad.sparse_matmul(_csr_2x3(), w, t),
-                           [(5, 2), (2, 2)]),
+    "linear": (ad.linear, [(2, 3), (3, 2), (1, 2)]),
+    "linear_one_row": (ad.linear, [(1, 3), (3, 2), (1, 2)]),
+    "linear_csr": (lambda w, b: ad.linear(_csr_2x3(), w, b), [(3, 2), (1, 2)]),
+    "linear_csr_tail": (lambda w, b, t: ad.linear(_csr_2x3(), w, b, t),
+                        [(5, 2), (1, 2), (2, 2)]),
     "transpose": (ad.transpose, [(2, 3)]),
     "add": (ad.add, [(2, 3), (2, 3)]),
     "add_bias": (ad.add, [(2, 3), (1, 3)]),
@@ -400,42 +421,76 @@ def _random_csr(rng, n, m, density=0.3):
 
 
 class TestSparseMatmul:
+    """``linear`` with a CSR left operand."""
+
     def test_matches_dense_product(self):
         rng = np.random.default_rng(70)
         x, dense = _random_csr(rng, 9, 40)
         w = Matrix(rng.standard_normal((40, 7)))
-        out = ad.sparse_matmul(x, w)
-        np.testing.assert_allclose(out.data, dense @ w.data, rtol=0, atol=1e-12)
-        assert np.all(out.data[0] == 0.0)
+        b = Matrix(rng.standard_normal((1, 7)))
+        out = ad.linear(x, w, b)
+        np.testing.assert_allclose(out.data, dense @ w.data + b.data,
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(out.data[0], b.data[0])
 
     def test_tail_matches_concatenated_product(self):
         rng = np.random.default_rng(71)
         x, dense = _random_csr(rng, 6, 25)
         tail = Matrix(rng.standard_normal((6, 4)))
         w = Matrix(rng.standard_normal((29, 5)))
-        out = ad.sparse_matmul(x, w, tail)
-        expected = np.concatenate([dense, tail.data], axis=1) @ w.data
+        b = Matrix(rng.standard_normal((1, 5)))
+        out = ad.linear(x, w, b, tail)
+        expected = np.concatenate([dense, tail.data], axis=1) @ w.data + b.data
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
     def test_weight_and_tail_gradients_pass_grad_check(self):
         rng = np.random.default_rng(72)
         x, _ = _random_csr(rng, 5, 12)
         w = Matrix(rng.uniform(-1, 1, size=(15, 4)), requires_grad=True)
+        b = Matrix(rng.uniform(-1, 1, size=(1, 4)), requires_grad=True)
         tail = Matrix(rng.uniform(-1, 1, size=(5, 3)), requires_grad=True)
         probe = ad.constant(rng.uniform(-1, 1, size=(5, 4)))
-        f = lambda: ad.sum_all(ad.mul(ad.tanh(ad.sparse_matmul(x, w, tail)), probe))
-        assert grad_check(f, [w, tail], eps=1e-5) < 1e-6
+        f = lambda: ad.sum_all(ad.mul(ad.tanh(ad.linear(x, w, b, tail)), probe))
+        assert grad_check(f, [w, b, tail], eps=1e-5) < 1e-6
         w_only = Matrix(w.data[:12].copy(), requires_grad=True)
-        g = lambda: ad.sum_all(ad.mul(ad.tanh(ad.sparse_matmul(x, w_only)), probe))
-        assert grad_check(g, w_only, eps=1e-5) < 1e-6
+        g = lambda: ad.sum_all(ad.mul(ad.tanh(ad.linear(x, w_only, b)), probe))
+        assert grad_check(g, [w_only, b], eps=1e-5) < 1e-6
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(73)
-        x, _ = _random_csr(rng, 3, 8)
+        x, dense = _random_csr(rng, 3, 8)
+        b = Matrix(np.zeros((1, 2)))
         with pytest.raises(ShapeError):
-            ad.sparse_matmul(x, Matrix(np.zeros((9, 2))))
+            ad.linear(x, Matrix(np.zeros((9, 2))), b)
         with pytest.raises(ShapeError):
-            ad.sparse_matmul(x, Matrix(np.zeros((10, 2))), Matrix(np.zeros((2, 2))))
+            ad.linear(x, Matrix(np.zeros((10, 2))), b, Matrix(np.zeros((2, 2))))
+        with pytest.raises(ShapeError):
+            ad.linear(x, Matrix(np.zeros((8, 2))), Matrix(np.zeros((1, 3))))
+        with pytest.raises(ShapeError):
+            ad.linear(x, Matrix(np.zeros((8, 2))), Matrix(np.zeros((3, 2))))
+        with pytest.raises(ShapeError):  # a tail needs a CSR x
+            ad.linear(Matrix(dense), Matrix(np.zeros((10, 2))), b,
+                      Matrix(np.zeros((3, 2))))
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_dense_linear_equals_matmul_then_add_bit_for_bit(rows):
+    """Adding the bias into the product is the same IEEE sum as the
+    two-step form, forward and backward."""
+    def run(layer):
+        rng = np.random.default_rng(74)
+        ms = [Matrix(rng.standard_normal(s), requires_grad=True)
+              for s in [(rows, 6), (6, 5), (1, 5)]]
+        probe = ad.constant(rng.standard_normal((rows, 5)))
+        with Tape() as tape:
+            out = layer(*ms)
+            tape.backward(ad.sum_all(ad.mul(ad.tanh(out), probe)))
+        return [out.data] + [m.grad for m in ms]
+
+    fused = run(ad.linear)
+    two_step = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+    for a, e in zip(fused, two_step):
+        assert np.array_equal(a, e)
 
 
 def _dense_first_layer_grad(x, tail, g):
@@ -454,11 +509,12 @@ class TestSparseWeightGradient:
         rng = np.random.default_rng(seed)
         w = Matrix(rng.standard_normal((x.cols + tail_cols, width)),
                    requires_grad=True)
+        b = Matrix(np.zeros((1, width)))
         tail = Matrix(rng.standard_normal((x.rows, tail_cols))) \
             if tail_cols else None
         g = rng.standard_normal((x.rows, width))
         with Tape() as tape:
-            out = ad.sum_all(ad.mul(ad.sparse_matmul(x, w, tail), ad.constant(g)))
+            out = ad.sum_all(ad.mul(ad.linear(x, w, b, tail), ad.constant(g)))
             tape.backward(out)
         expected = _dense_first_layer_grad(
             x, None if tail is None else tail.data, g)
@@ -485,6 +541,19 @@ class TestSparseWeightGradient:
         from vampcf.data import CSRMatrix
         gw = self.grad(CSRMatrix.from_dense(np.zeros((3, 10))), 4, tail_cols=2)
         assert np.all(gw[:10] == 0.0)
+
+    @pytest.mark.parametrize("tail_cols", [0, 3])
+    def test_column_chunks_do_not_change_a_bit(self, tail_cols, monkeypatch):
+        """Chunks of 2 touched columns and one chunk over all of them give
+        the same gradient, on a batch whose touched columns have gaps."""
+        x, dense = _random_csr(np.random.default_rng(83), 6, 40, density=0.15)
+        touched = np.flatnonzero(dense.any(axis=0))
+        assert touched.size > 4 and np.any(np.diff(touched) > 1)
+        grads = []
+        for chunk in (2, 10**9):
+            monkeypatch.setattr(ad, "GRAD_COLS", chunk)
+            grads.append(self.grad(x, 5, tail_cols, seed=3))
+        assert np.array_equal(grads[0], grads[1])
 
 
 def _dropout_scaled_target(rng):

@@ -91,6 +91,10 @@ class TestSynthetic:
         data = archetype_interactions(10, 6, 2, 0, min_items=3, max_items=3)
         assert {len(items) for _, items in data} == {3}
 
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            archetype_interactions(6, 30, 3, -1, min_items=2, max_items=4)
+
     def test_block_smaller_than_the_in_block_draw_is_a_config_error(self):
         # 6 items in 3 blocks of 2 cannot hold the 34 in-block draws of a
         # 40-item user; with 2-item users each keeps to its own block.

@@ -234,6 +234,10 @@ class TestSplit:
             with pytest.raises(ConfigError):
                 split(data, n_heldout_users=2, fold_in_fraction=frac, seed=0)
 
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            split(unique_histories(10), n_heldout_users=2, seed=-1)
+
 
 class TestDense:
     def test_example_vector(self):

@@ -358,6 +358,23 @@ class TestBatchedEvaluate:
         users, scores = self.tie_heavy_case(21, 600, 30)
         self.assert_matches_oracle(monkeypatch, users, scores, ks=[1, 3, 7, 25, 40])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_in_the_last_partial_block_rejected(
+            self, bad, monkeypatch):
+        # 600 users: blocks of 512 + 88, and one bad score in user 590.
+        monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 512)
+        users, scores = self.tie_heavy_case(21, 600, 30)
+        scores[590, 4] = bad
+        with pytest.raises(NumericalError):
+            self.assert_matches_oracle(monkeypatch, users, scores, ks=[5])
+
+    def test_consecutive_calls_with_different_item_counts(self, monkeypatch):
+        # Each call ranks in its own buffer, sized to its own item count.
+        monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 16)
+        for seed, m in [(31, 30), (32, 12), (33, 30)]:
+            users, scores = self.tie_heavy_case(seed, 40, m)
+            self.assert_matches_oracle(monkeypatch, users, scores, ks=[1, 5, 20])
+
     def test_largest_k_above_item_count(self, monkeypatch):
         monkeypatch.setattr(metrics, "RANK_BLOCK_ROWS", 16)
         users, scores = self.tie_heavy_case(22, 40, 9)

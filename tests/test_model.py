@@ -605,6 +605,10 @@ class TestElbo:
     def test_gradient_spot_check(self, cell):
         assert check_cell(cell, seed=0) < 1e-4
 
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            run_grid(seed=-1)
+
     def test_grid_has_twelve_cells(self):
         names = [name for name, _ in grid_cells()]
         assert len(names) == 12
@@ -620,20 +624,21 @@ class TestElbo:
     # primitive applied to a trainable operand. A change here changes what a
     # training step computes.
     # Either likelihood is one primitive, so the two likelihoods of a cell
-    # record the same number of steps.
+    # record the same number of steps, and so is each layer's product plus
+    # bias (``linear``).
     TAPE_OPS = {
-        "flat-standard-gated-multinomial": 40,
-        "flat-standard-gated-bernoulli": 40,
-        "flat-standard-ungated-multinomial": 36,
-        "flat-standard-ungated-bernoulli": 36,
-        "flat-vamp-gated-multinomial": 72,
-        "flat-vamp-gated-bernoulli": 72,
-        "flat-vamp-ungated-multinomial": 66,
-        "flat-vamp-ungated-bernoulli": 66,
-        "two_level-vamp-gated-multinomial": 109,
-        "two_level-vamp-gated-bernoulli": 109,
-        "two_level-vamp-ungated-multinomial": 99,
-        "two_level-vamp-ungated-bernoulli": 99,
+        "flat-standard-gated-multinomial": 36,
+        "flat-standard-gated-bernoulli": 36,
+        "flat-standard-ungated-multinomial": 32,
+        "flat-standard-ungated-bernoulli": 32,
+        "flat-vamp-gated-multinomial": 66,
+        "flat-vamp-gated-bernoulli": 66,
+        "flat-vamp-ungated-multinomial": 60,
+        "flat-vamp-ungated-bernoulli": 60,
+        "two_level-vamp-gated-multinomial": 99,
+        "two_level-vamp-gated-bernoulli": 99,
+        "two_level-vamp-ungated-multinomial": 89,
+        "two_level-vamp-ungated-bernoulli": 89,
     }
 
     @pytest.mark.parametrize("name,cell", grid_cells(),
