@@ -10,6 +10,20 @@ is dropped as soon as it has run, and with it the forward values it read
 and the gradient of its result, so a backward pass holds only what the
 steps still to run will read.
 
+A second gradient into a Matrix is added into its gradient array in place
+(``np.add(grad, g, out=grad)``, the same IEEE sum as ``grad + g``) when
+the Matrix owns that array: the replay running now made it for this
+Matrix alone. That is so when it came new from a gradient map (not the
+incoming gradient itself and not a view of any array), when ``_acc`` made
+it as a sum, or when it is ``split_cols``' own buffer. Otherwise the sum is
+a new array, which the Matrix then owns. So backward never writes into
+what an identity map hands on (``add``, ``sub``'s left side,
+``add_scalar``, an unbroadcast bias), since one array can then be two
+operands' gradient; nor into a read-only broadcast view from ``sum_all``
+or ``sum_rows``; nor into a view that ``transpose`` or ``concat_cols``
+hands on for a single row; nor into an array a caller assigned to
+``.grad``, or one an earlier replay made.
+
 Every primitive records itself by one rule, in ``_op``: when a tape is
 active and at least one operand requires a gradient, the result requires
 one too and the tape gains one backward step. That step does nothing if no
@@ -42,6 +56,10 @@ GRAD_COLS = 1024
 
 _ACTIVE = None
 
+# The number of the latest backward replay; a gradient array marked with
+# it is owned by its Matrix (see the module docstring).
+_REPLAY = 0
+
 
 class Tape:
     """Ordered record of the primitive ops applied while active."""
@@ -70,11 +88,13 @@ class Tape:
         Each step is popped off the tape before it runs, so it is freed as
         soon as it returns; a second call raises ``ConfigError``.
         """
+        global _REPLAY
         if self._replayed:
             raise ConfigError("a tape replays once")
         if out.shape != (1, 1):
             raise ShapeError(f"backward needs a 1x1 scalar, got {out.shape}")
         self._replayed = True
+        _REPLAY += 1
         out.grad = np.ones((1, 1))
         ops = self._ops
         while ops:
@@ -82,9 +102,16 @@ class Tape:
 
 
 class Matrix:
-    """Row-major dense matrix of float64 values."""
+    """Row-major dense matrix of float64 values.
 
-    __slots__ = ("data", "grad", "requires_grad")
+    ``_grad_replay`` is the number of the backward replay that owns
+    ``grad``, or 0. A number rather than a reference, it keeps no array
+    alive, and it marks an array for that one replay only: one that an
+    earlier replay made, or that a caller assigned between replays, is
+    never written into.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_grad_replay")
 
     def __init__(self, data, requires_grad=False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -97,6 +124,7 @@ class Matrix:
         self.data = arr
         self.grad = None
         self.requires_grad = requires_grad
+        self._grad_replay = 0
 
     @property
     def rows(self):
@@ -124,19 +152,29 @@ def _wrap(arr):
     m.data = arr
     m.grad = None
     m.requires_grad = False
+    m._grad_replay = 0
     return m
 
 
-def _acc(m, g):
-    m.grad = g if m.grad is None else m.grad + g
+def _acc(m, g, fresh):
+    """Accumulate ``g`` into ``m``'s gradient. ``fresh`` says that nothing
+    but ``g`` itself holds its array, so ``m`` may own it."""
+    if m.grad is None:
+        m.grad, m._grad_replay = g, (_REPLAY if fresh else 0)
+    elif m._grad_replay == _REPLAY:
+        np.add(m.grad, g, out=m.grad)
+    else:
+        m.grad, m._grad_replay = m.grad + g, _REPLAY
 
 
 def _op(data, *inputs):
     """Wrap ``data`` as a primitive's result and record its backward step.
 
     Each input is an ``(operand, grad_fn)`` pair, where ``grad_fn`` maps the
-    result's gradient to that operand's. Nothing is recorded unless a tape
-    is active and some operand requires a gradient.
+    result's gradient to that operand's: a new array, or the result's
+    gradient itself or a view of it, never another array that outlives the
+    call. Nothing is recorded unless a tape is active and some operand
+    requires a gradient.
     """
     out = _wrap(data)
     tape = _ACTIVE
@@ -150,7 +188,8 @@ def _op(data, *inputs):
             g = out.grad
             if g is not None:
                 for m, fn in live:
-                    _acc(m, fn(g))
+                    gm = fn(g)
+                    _acc(m, gm, gm is not g and gm.base is None)
 
         tape._ops.append(bwd)
     return out
@@ -414,7 +453,7 @@ def split_cols(a, k):
             g = np.empty(a.shape)
             g[:, :k] = 0.0 if left.grad is None else left.grad
             g[:, k:] = 0.0 if right.grad is None else right.grad
-            _acc(a, g)
+            _acc(a, g, True)
 
         tape._ops.append(bwd)
     return left, right

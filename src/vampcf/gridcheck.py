@@ -40,9 +40,9 @@ def grid_cells():
     return cells
 
 
-def tiny_config(**cell):
+def tiny_config(depth=1, **cell):
     return ModelConfig(
-        n_items=TINY["n_items"], hidden=TINY["hidden"], depth=1,
+        n_items=TINY["n_items"], hidden=TINY["hidden"], depth=depth,
         d_z1=TINY["d"], d_z2=TINY["d"], n_pseudo=TINY["n_pseudo"], **cell)
 
 

@@ -165,6 +165,120 @@ class TestTape:
         assert out.requires_grad is False and out.grad is None
 
 
+def _dot(m, probe):
+    """sum(m * probe): its gradient into m is exactly probe."""
+    return ad.sum_all(ad.mul(m, probe))
+
+
+def _total(*terms):
+    out = terms[0]
+    for t in terms[1:]:
+        out = ad.add(out, t)
+    return out
+
+
+class TestGradientOwnership:
+    """A second gradient is added into a Matrix's gradient array in place
+    only when that Matrix owns the array. Every gradient equals its sum
+    written out by hand, bit for bit, and no array that another Matrix or
+    the caller holds changes."""
+
+    @staticmethod
+    def arrays(*shapes, seed=0):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(s) for s in shapes]
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_add_hands_one_array_to_both_operands(self, add_first):
+        # Recorded last, add's step runs first and hands the same array to
+        # a and b before their own products add to it.
+        a, b = [Matrix(x, requires_grad=True) for x in self.arrays((2, 3), (2, 3))]
+        p, pa, pb = [ad.constant(x) for x in self.arrays(*[(2, 3)] * 3, seed=1)]
+        with Tape() as tape:
+            if add_first:
+                s = ad.add(a, b)
+                terms = [_dot(s, p), _dot(a, pa), _dot(b, pb)]
+            else:
+                terms = [_dot(a, pa), _dot(b, pb)]
+                s = ad.add(a, b)
+                terms.append(_dot(s, p))
+            tape.backward(_total(*terms))
+        assert np.array_equal(a.grad, p.data + pa.data)
+        assert np.array_equal(b.grad, p.data + pb.data)
+        assert np.array_equal(s.grad, p.data)
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_one_operand_on_both_sides(self, op):
+        x, = self.arrays((2, 3))
+        a = Matrix(x, requires_grad=True)
+        p, q = [ad.constant(y) for y in self.arrays((2, 3), (2, 3), seed=1)]
+        with Tape() as tape:
+            first = _dot(a, q)
+            s = getattr(ad, op)(a, a)
+            tape.backward(_total(first, _dot(s, p)))
+        g = p.data
+        by_hand = {"add": g + g, "sub": g + -g, "mul": g * x + g * x}[op]
+        assert np.array_equal(a.grad, by_hand + q.data)
+        assert np.array_equal(s.grad, p.data)
+
+    @pytest.mark.parametrize("reduce", [
+        ad.sum_all, lambda a: ad.sum_all(ad.sum_rows(a))], ids=["sum_all", "sum_rows"])
+    def test_a_broadcast_view_then_a_second_gradient(self, reduce):
+        # The first gradient to reach a is a read-only broadcast of ones.
+        a = Matrix(self.arrays((2, 3))[0], requires_grad=True)
+        q = ad.constant(self.arrays((2, 3), seed=1)[0])
+        with Tape() as tape:
+            first = _dot(a, q)
+            tape.backward(_total(first, reduce(a)))
+        assert np.array_equal(a.grad, 1.0 + q.data)
+
+    def test_single_row_transpose_hands_on_a_view(self):
+        a = Matrix(self.arrays((1, 4))[0], requires_grad=True)
+        q, p = self.arrays((1, 4), (4, 1), seed=1)
+        with Tape() as tape:
+            first = _dot(a, ad.constant(q))
+            t = ad.transpose(a)
+            tape.backward(_total(first, _dot(t, ad.constant(p))))
+        assert np.array_equal(a.grad, p.T + q)
+        assert np.array_equal(t.grad, p)
+
+    def test_single_row_concat_cols_hands_on_views(self):
+        a, b = [Matrix(x, requires_grad=True) for x in self.arrays((1, 2), (1, 3))]
+        qa, qb, p = self.arrays((1, 2), (1, 3), (1, 5), seed=1)
+        with Tape() as tape:
+            firsts = [_dot(a, ad.constant(qa)), _dot(b, ad.constant(qb))]
+            c = ad.concat_cols(a, b)
+            tape.backward(_total(*firsts, _dot(c, ad.constant(p))))
+        assert np.array_equal(a.grad, p[:, :2] + qa)
+        assert np.array_equal(b.grad, p[:, 2:] + qb)
+        assert np.array_equal(c.grad, p)
+
+    def test_split_cols_buffer_then_a_second_gradient(self):
+        a = Matrix(self.arrays((2, 3))[0], requires_grad=True)
+        q, pl = self.arrays((2, 3), (2, 1), seed=1)
+        with Tape() as tape:
+            first = _dot(a, ad.constant(q))
+            left, _ = ad.split_cols(a, 1)
+            tape.backward(_total(first, _dot(left, ad.constant(pl))))
+        assert np.array_equal(a.grad, np.hstack([pl, np.zeros((2, 2))]) + q)
+
+    @pytest.mark.parametrize("how", ["by hand", "by an earlier backward"])
+    def test_never_writes_into_a_grad_this_backward_did_not_make(self, how):
+        a = Matrix(self.arrays((2, 3))[0], requires_grad=True)
+        p, q = self.arrays((2, 3), (2, 3), seed=1)
+        if how == "by hand":
+            a.grad = np.full((2, 3), 0.5)
+        else:
+            with Tape() as tape:
+                tape.backward(_dot(a, ad.constant(p)))
+        held = a.grad
+        kept = held.copy()
+        with Tape() as tape:
+            tape.backward(_total(_dot(a, ad.constant(p)), _dot(a, ad.constant(q))))
+        assert np.array_equal(held, kept)
+        assert np.array_equal(a.grad, kept + q + p)
+
+
 class TestGradCheck:
     def test_quadratic(self):
         x = Matrix([[3.0]], requires_grad=True)

@@ -696,6 +696,38 @@ class TestEntryPoints:
         assert "invalid choice" in capsys.readouterr().err
 
 
+def test_train_is_byte_identical_across_processes(tmp_path, capsys):
+    """Two `vampcf train` runs in fresh processes with different hash seeds
+    and the same BLAS thread count write the same checkpoint, byte for
+    byte. At 600 items, hidden 128 and batch 64 OpenBLAS splits the layer
+    products over its two threads: with scipy-openblas 0.3.31, a run at one
+    thread writes a different checkpoint."""
+    data = archetype_interactions(n_users=400, n_items=600, n_archetypes=3,
+                                  seed=5)
+    ratings = tmp_path / "ratings.csv"
+    write_ratings_csv(data, str(ratings))
+    split = str(tmp_path / "split")
+    assert main(["prepare", "--ratings", str(ratings), "--heldout-users",
+                 "40", "--out", split]) == 0
+    capsys.readouterr()
+    config = Path(__file__).resolve().parents[1] / "configs" / "h_vamp_gated.cfg"
+    checkpoints = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"run{hash_seed}"
+        env = dict(TestEntryPoints.checkout_env(), PYTHONHASHSEED=hash_seed,
+                   OPENBLAS_NUM_THREADS="2")
+        proc = subprocess.run(
+            [sys.executable, "-m", "vampcf", "train", "--config", str(config),
+             "--data", split, "--out", str(out), "--quiet",
+             "--set", "model.hidden=128", "--set", "model.d_z1=32",
+             "--set", "model.d_z2=32", "--set", "model.k=50",
+             "--set", "train.batch_size=64", "--set", "train.max_epochs=2"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        checkpoints.append((out / "model.ckpt").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
 def test_package_source_has_no_assert_statements():
     """Runtime checks raise real errors: `python -O` strips `assert`."""
     found = []

@@ -15,7 +15,8 @@ from vampcf import autodiff as ad
 from vampcf import model as M
 from vampcf.data import CSRMatrix
 from vampcf.errors import ConfigError, ShapeError
-from vampcf.gridcheck import check_cell, grid_cells, run_grid, tiny_config
+from vampcf.gridcheck import (TOLERANCE, check_cell, grid_cells, run_grid,
+                              tiny_config)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -604,6 +605,15 @@ class TestElbo:
     ])
     def test_gradient_spot_check(self, cell):
         assert check_cell(cell, seed=0) < 1e-4
+
+    @pytest.mark.parametrize("gated", [True, False], ids=["gated", "tanh"])
+    def test_depth_two_gradient_check(self, gated):
+        # A second trunk layer per network adds accumulation paths: the
+        # pseudo-inputs and the batch share every encoder layer.
+        cell = {"prior": "vamp", "hierarchy": "two_level", "gated": gated,
+                "likelihood": "multinomial", "depth": 2}
+        assert tiny_config(**cell).depth == 2
+        assert check_cell(cell, seed=0) < TOLERANCE
 
     def test_negative_seed_is_a_config_error(self):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
