@@ -25,7 +25,7 @@ prior is standard or vamp, ``z1`` the lower latent with a learned
 conditional prior. Flat models use ``z2`` alone and ``z1`` aliases it.
 """
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -149,21 +149,6 @@ class ModelParams:
     def zero_grad(self):
         for p in self.named_parameters().values():
             p.grad = None
-
-    def copy(self):
-        """Deep copy of all parameter arrays (gradients are not copied)."""
-        dup = empty_params(replace(self.config))
-        dup.copy_from(self)
-        return dup
-
-    def copy_from(self, other):
-        """Overwrite every parameter array in place with ``other``'s, which
-        must have the same config (gradients are not copied)."""
-        if other.config != self.config:
-            raise ConfigError("copy_from needs parameters of the same config")
-        src = other.named_parameters()
-        for name, m in self.named_parameters().items():
-            np.copyto(m.data, src[name].data)
 
 
 def _glorot(rng, fan_in, fan_out, blocks=1):

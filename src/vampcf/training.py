@@ -2,15 +2,19 @@
 
 Each epoch shuffles the training users with the run's rng, walks
 minibatches of the negated objective, then scores the validation users
-with the ranking metric named in the config. The best-scoring parameters
-are kept in one snapshot buffer, refilled in place at each improving
-epoch; training stops when the metric has not improved for
-``patience`` consecutive epochs, at ``max_epochs``, or on the first
-non-finite loss or gradient (best snapshot retained). Each epoch's
-record is handed to the caller's ``progress`` callback and kept in the
-returned log; ``train`` writes no files.
+with the ranking metric named in the config. Training stops when the
+metric has not improved for ``patience`` consecutive epochs, at
+``max_epochs``, or on the first non-finite loss or gradient. The result
+holds the best-scoring epoch's parameters, kept on disk rather than as a
+second copy in memory: an improving epoch that another epoch follows
+writes them as a checkpoint into a private temporary directory, which is
+removed before ``train`` returns or raises. Each epoch's record is handed
+to the caller's ``progress`` callback and kept in the returned log; apart
+from that snapshot ``train`` writes no files.
 """
 import math
+import os
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -19,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Tape
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import CSRMatrix
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import METRIC_NAMES, evaluate
@@ -144,7 +149,7 @@ def _scaled_norm(grads):
 
 @dataclass
 class TrainResult:
-    params: object            # best snapshot
+    params: object            # the best epoch's parameters
     best_epoch: int
     best_metric: float
     log: list = field(default_factory=list)
@@ -161,9 +166,14 @@ def _batches(order, batch_size):
 
 
 def train(split, model_cfg, cfg, progress=None):
-    """Optimize -ELBO on the split's training users; returns the best
-    snapshot by validation metric plus the per-epoch log. Each epoch's
-    record goes to ``progress`` as it joins the log."""
+    """Optimize -ELBO on the split's training users; returns the parameters
+    of the best epoch by validation metric plus the per-epoch log. Each
+    epoch's record goes to ``progress`` as it joins the log.
+
+    The returned parameters are the live ones when the last epoch run was
+    the best, a copy-on-write map of the snapshot file (as
+    ``load_checkpoint`` gives) when an earlier one was, and the initial
+    parameters, drawn again from the seed, when no epoch improved."""
     if not split.train_users:
         raise DataError("split has no training users")
     if not split.validation_users:
@@ -184,57 +194,71 @@ def train(split, model_cfg, cfg, progress=None):
     params = init_params(model_cfg, rng, train_matrix=train_matrix)
     state = OptimizerState.for_params(params)
 
-    best_metric, best_params, best_epoch = -math.inf, params.copy(), -1
+    best_metric, best_epoch, saved_epoch = -math.inf, -1, -1
     log = []
     stopped = "max_epochs"
     step = 0
-    for epoch in range(cfg.max_epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(n)
-        sums = np.zeros(4)
-        grad_norm_sum = 0.0
-        try:
-            for rows in _batches(order, cfg.batch_size):
-                x = train_matrix.take_rows(rows)
-                with Tape() as tape:
-                    res = elbo(x, params, beta_at(step, cfg), rng=rng,
-                               dropout_rate=cfg.dropout_rate)
-                    loss = ad.scale(res.elbo, -1.0)
-                    if not math.isfinite(loss.item()):
-                        raise NumericalError(
-                            f"non-finite loss at epoch {epoch} step {step}")
-                    tape.backward(loss)
-                grad_norm_sum += adam_step(params, state, cfg.learning_rate)
-                # Gone before the next forward, validation and snapshot.
-                params.zero_grad()
-                sums += rows.size * np.array([
-                    res.elbo.item(), res.recon.item(),
-                    res.kl_z1.item(), res.kl_z2_ce.item()])
-                step += 1
-        except NumericalError as e:
-            stopped = f"numerical: {e}"
-            break
+    with tempfile.TemporaryDirectory(prefix="vampcf-train-") as tmp:
+        snapshot = os.path.join(tmp, "best.ckpt")
+        for epoch in range(cfg.max_epochs):
+            t0 = time.perf_counter()
+            order = rng.permutation(n)
+            sums = np.zeros(4)
+            grad_norm_sum = 0.0
+            try:
+                for rows in _batches(order, cfg.batch_size):
+                    x = train_matrix.take_rows(rows)
+                    with Tape() as tape:
+                        res = elbo(x, params, beta_at(step, cfg), rng=rng,
+                                   dropout_rate=cfg.dropout_rate)
+                        loss = ad.scale(res.elbo, -1.0)
+                        if not math.isfinite(loss.item()):
+                            raise NumericalError(
+                                f"non-finite loss at epoch {epoch} step {step}")
+                        tape.backward(loss)
+                    grad_norm_sum += adam_step(params, state, cfg.learning_rate)
+                    # Gone before the next forward, validation and snapshot.
+                    params.zero_grad()
+                    sums += rows.size * np.array([
+                        res.elbo.item(), res.recon.item(),
+                        res.kl_z1.item(), res.kl_z2_ce.item()])
+                    step += 1
+            except NumericalError as e:
+                stopped = f"numerical: {e}"
+                break
 
-        report = evaluate(split.validation_users, params, ks=[metric_k])
-        val = report.row(metric_name, metric_k).mean
-        record = {
-            "epoch": epoch,
-            "mean_elbo": sums[0] / n, "mean_recon": sums[1] / n,
-            "mean_kl_z1": sums[2] / n, "mean_kl_z2": sums[3] / n,
-            "beta": beta_at(step, cfg), "val_metric": val,
-            "mean_grad_norm": grad_norm_sum / steps_per_epoch,
-            "wall_seconds": time.perf_counter() - t0,
-        }
-        log.append(record)
-        if progress:
-            progress(record)
+            report = evaluate(split.validation_users, params, ks=[metric_k])
+            val = report.row(metric_name, metric_k).mean
+            record = {
+                "epoch": epoch,
+                "mean_elbo": sums[0] / n, "mean_recon": sums[1] / n,
+                "mean_kl_z1": sums[2] / n, "mean_kl_z2": sums[3] / n,
+                "beta": beta_at(step, cfg), "val_metric": val,
+                "mean_grad_norm": grad_norm_sum / steps_per_epoch,
+                "wall_seconds": time.perf_counter() - t0,
+            }
+            log.append(record)
+            if progress:
+                progress(record)
 
-        if val > best_metric:
-            best_metric, best_epoch = val, epoch
-            best_params.copy_from(params)
-        if epoch - best_epoch >= cfg.patience:
-            stopped = "early_stopping"
-            break
+            if val > best_metric:
+                best_metric, best_epoch = val, epoch
+            if epoch - best_epoch >= cfg.patience:
+                stopped = "early_stopping"
+                break
+            # Only an epoch that another one follows needs its parameters
+            # kept apart from the live ones.
+            if best_epoch == epoch and epoch < cfg.max_epochs - 1:
+                save_checkpoint(snapshot, params)
+                saved_epoch = epoch
 
-    return TrainResult(params=best_params, best_epoch=best_epoch,
+        if best_epoch < 0:
+            # Nothing to keep but the start: the same draw from the seed.
+            params = init_params(model_cfg, np.random.default_rng(cfg.seed),
+                                 train_matrix=train_matrix)
+        elif saved_epoch == best_epoch:
+            # The map reads the file's pages after the directory is gone.
+            params, _ = load_checkpoint(snapshot)
+
+    return TrainResult(params=params, best_epoch=best_epoch,
                        best_metric=best_metric, log=log, stopped=stopped)

@@ -696,26 +696,26 @@ class TestEntryPoints:
         assert "invalid choice" in capsys.readouterr().err
 
 
-def test_train_is_byte_identical_across_processes(tmp_path, capsys):
-    """Two `vampcf train` runs in fresh processes with different hash seeds
-    and the same BLAS thread count write the same checkpoint, byte for
-    byte. At 600 items, hidden 128 and batch 64 OpenBLAS splits the layer
-    products over its two threads: with scipy-openblas 0.3.31, a run at one
-    thread writes a different checkpoint."""
+@pytest.fixture(scope="module")
+def cross_process_runs(tmp_path_factory):
+    """Two `vampcf train` runs of one split in fresh processes with
+    different hash seeds and the same BLAS thread count, each given a
+    temporary directory of its own: (split, [(run dir, temp dir)])."""
+    root = tmp_path_factory.mktemp("cross_process")
     data = archetype_interactions(n_users=400, n_items=600, n_archetypes=3,
                                   seed=5)
-    ratings = tmp_path / "ratings.csv"
+    ratings = root / "ratings.csv"
     write_ratings_csv(data, str(ratings))
-    split = str(tmp_path / "split")
+    split = str(root / "split")
     assert main(["prepare", "--ratings", str(ratings), "--heldout-users",
                  "40", "--out", split]) == 0
-    capsys.readouterr()
     config = Path(__file__).resolve().parents[1] / "configs" / "h_vamp_gated.cfg"
-    checkpoints = []
+    runs = []
     for hash_seed in ("1", "2"):
-        out = tmp_path / f"run{hash_seed}"
+        out, tmp = root / f"run{hash_seed}", root / f"tmp{hash_seed}"
+        tmp.mkdir()
         env = dict(TestEntryPoints.checkout_env(), PYTHONHASHSEED=hash_seed,
-                   OPENBLAS_NUM_THREADS="2")
+                   OPENBLAS_NUM_THREADS="2", TMPDIR=str(tmp))
         proc = subprocess.run(
             [sys.executable, "-m", "vampcf", "train", "--config", str(config),
              "--data", split, "--out", str(out), "--quiet",
@@ -724,8 +724,43 @@ def test_train_is_byte_identical_across_processes(tmp_path, capsys):
              "--set", "train.batch_size=64", "--set", "train.max_epochs=2"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        checkpoints.append((out / "model.ckpt").read_bytes())
+        runs.append((out, tmp))
+    return split, runs
+
+
+def test_train_is_byte_identical_across_processes(cross_process_runs):
+    """Two `vampcf train` runs in fresh processes with different hash seeds
+    and the same BLAS thread count write the same checkpoint, byte for
+    byte. At 600 items, hidden 128 and batch 64 OpenBLAS splits the layer
+    products over its two threads: with scipy-openblas 0.3.31, a run at one
+    thread writes a different checkpoint. Neither run leaves its best-epoch
+    snapshot in the temporary directory."""
+    _, runs = cross_process_runs
+    checkpoints = [(out / "model.ckpt").read_bytes() for out, _ in runs]
     assert checkpoints[0] == checkpoints[1]
+    assert [list(tmp.iterdir()) for _, tmp in runs] == [[], []]
+
+
+def test_eval_is_byte_identical_across_processes(cross_process_runs, tmp_path):
+    """`vampcf eval` of one checkpoint in fresh processes with different
+    hash seeds and the same BLAS thread count writes the same reports and
+    per-user csv, byte for byte."""
+    split, runs = cross_process_runs
+    outputs = []
+    for hash_seed in ("3", "4"):
+        out = tmp_path / f"eval{hash_seed}"
+        env = dict(TestEntryPoints.checkout_env(), PYTHONHASHSEED=hash_seed,
+                   OPENBLAS_NUM_THREADS="2")
+        proc = subprocess.run(
+            [sys.executable, "-m", "vampcf", "eval",
+             "--checkpoint", str(runs[0][0] / "model.ckpt"), "--data", split,
+             "--out", str(out), "--csv", str(out / "per_user.csv")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(read_tree(out))
+    assert sorted(outputs[0]) == ["metrics_test.json", "metrics_test.txt",
+                                  "per_user.csv"]
+    assert outputs[0] == outputs[1]
 
 
 def test_package_source_has_no_assert_statements():

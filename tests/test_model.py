@@ -114,42 +114,6 @@ class TestModelConfig:
         assert params.pseudo_inputs is None
         assert "pseudo_inputs" not in params.named_parameters()
 
-    def test_copy_is_independent(self):
-        params = M.init_params(tiny_cfg(prior="vamp"), np.random.default_rng(0))
-        dup = params.copy()
-        dup.head_out.W.data[:] = 99.0
-        assert not np.allclose(params.head_out.W.data, 99.0)
-
-    @pytest.mark.parametrize("hierarchy", ["flat", "two_level"])
-    def test_copy_shares_no_array_and_keeps_names_and_shapes(self, hierarchy):
-        params = M.init_params(tiny_cfg(prior="vamp", hierarchy=hierarchy),
-                               np.random.default_rng(0))
-        src = params.named_parameters()
-        dup = params.copy().named_parameters()
-        assert list(dup) == list(src)
-        for name, m in dup.items():
-            assert m.shape == src[name].shape, name
-            assert np.array_equal(m.data, src[name].data), name
-            assert m.requires_grad, name
-            for other in src.values():
-                assert not np.shares_memory(m.data, other.data), name
-
-    def test_copy_from_refills_in_place(self):
-        cfg = tiny_cfg(prior="vamp", hierarchy="two_level")
-        params = M.init_params(cfg, np.random.default_rng(0))
-        buf = M.init_params(cfg, np.random.default_rng(1))
-        arrays = {n: m.data for n, m in buf.named_parameters().items()}
-        buf.copy_from(params)
-        for name, m in buf.named_parameters().items():
-            assert m.data is arrays[name], name
-            assert np.array_equal(m.data, params.named_parameters()[name].data), name
-
-    def test_copy_from_other_config_rejected(self):
-        params = M.init_params(tiny_cfg(prior="vamp"), np.random.default_rng(0))
-        other = M.init_params(tiny_cfg(prior="standard"), np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="same config"):
-            params.copy_from(other)
-
     @pytest.mark.parametrize("gated", [True, False])
     def test_fused_init_blocks_are_consecutive_glorot_draws(self, gated):
         """Each column block is the Glorot draw the separate W/V (or
