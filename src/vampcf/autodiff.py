@@ -24,6 +24,17 @@ or ``sum_rows``; nor into a view that ``transpose`` or ``concat_cols``
 hands on for a single row; nor into an array a caller assigned to
 ``.grad``, or one an earlier replay made.
 
+A layer's weight gradient is the exception: ``linear`` keeps it as its
+factors, the layer input and the output's gradient, in a ``_Factored``.
+Further products into the same weight during the same replay join it as
+terms, in the order they arrive, and the optimizer forms it one row block
+of about ``GRAD_BLOCK`` entries at a time, adding the terms in that order,
+so no whole weight gradient is held. Reading ``Matrix.grad`` forms it
+whole, through the same blocks, and keeps the array; so does a dense
+gradient reaching the same Matrix, which is then added as above. The
+factors are read after the backward pass, so the arrays they name must
+not change before the gradient is formed.
+
 Every primitive records itself by one rule, in ``_op``: when a tape is
 active and at least one operand requires a gradient, the result requires
 one too and the tape gains one backward step. That step does nothing if no
@@ -48,11 +59,10 @@ import numpy as np
 from . import kernels as K
 from .errors import ConfigError, NumericalError, ShapeError
 
-# Touched columns per GEMM in the weight gradient of a CSR ``linear``. At
-# batch 256 and width 600 a chunk's block is 2 MB and its product 5 MB; one
-# GEMM over the 9,288 columns a batch of 20k-item Mult-VAE training touches
-# needs a 19 MB block and a 45 MB product.
-GRAD_COLS = 1024
+# Entries per row block of a factored weight gradient (8 MB). A 20k-item
+# first-layer or output-layer gradient at width 600 is 94 MB; its blocks
+# are 1,747 and 53 rows.
+GRAD_BLOCK = 1 << 20
 
 _ACTIVE = None
 
@@ -104,6 +114,8 @@ class Tape:
 class Matrix:
     """Row-major dense matrix of float64 values.
 
+    ``grad`` is the gradient array or None; ``_grad`` may instead hold a
+    ``_Factored`` weight gradient, which the first read of ``grad`` forms.
     ``_grad_replay`` is the number of the backward replay that owns
     ``grad``, or 0. A number rather than a reference, it keeps no array
     alive, and it marks an array for that one replay only: one that an
@@ -111,7 +123,7 @@ class Matrix:
     never written into.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_grad_replay")
+    __slots__ = ("data", "_grad", "requires_grad", "_grad_replay")
 
     def __init__(self, data, requires_grad=False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -122,9 +134,24 @@ class Matrix:
         elif arr.ndim != 2:
             raise ShapeError(f"Matrix must be 2-D, got ndim={arr.ndim}")
         self.data = arr
-        self.grad = None
+        self._grad = None
         self.requires_grad = requires_grad
         self._grad_replay = 0
+
+    @property
+    def grad(self):
+        if isinstance(self._grad, _Factored):
+            self._grad = self._grad.form()
+        return self._grad
+
+    @grad.setter
+    def grad(self, g):
+        self._grad, self._grad_replay = g, 0
+
+    def _factored_grad(self):
+        """The gradient as a ``_Factored``, or None when it is an array or
+        there is none: the optimizer's way to the factors."""
+        return self._grad if isinstance(self._grad, _Factored) else None
 
     @property
     def rows(self):
@@ -150,7 +177,7 @@ class Matrix:
 def _wrap(arr):
     m = object.__new__(Matrix)
     m.data = arr
-    m.grad = None
+    m._grad = None
     m.requires_grad = False
     m._grad_replay = 0
     return m
@@ -158,13 +185,126 @@ def _wrap(arr):
 
 def _acc(m, g, fresh):
     """Accumulate ``g`` into ``m``'s gradient. ``fresh`` says that nothing
-    but ``g`` itself holds its array, so ``m`` may own it."""
-    if m.grad is None:
-        m.grad, m._grad_replay = g, (_REPLAY if fresh else 0)
-    elif m._grad_replay == _REPLAY:
-        np.add(m.grad, g, out=m.grad)
+    but ``g`` itself holds its array, so ``m`` may own it. A ``_Factored``
+    ``g`` joins a factored gradient of this replay as more terms; anywhere
+    else it is formed first, and a factored gradient meeting an array is
+    formed too."""
+    if m._grad is None:
+        m._grad, m._grad_replay = g, (_REPLAY if fresh else 0)
+        return
+    if isinstance(g, _Factored):
+        if m._factored_grad() is not None and m._grad_replay == _REPLAY:
+            m._grad.terms += g.terms
+            return
+        g = g.form()
+    grad = m.grad
+    if m._grad_replay == _REPLAY:
+        np.add(grad, g, out=grad)
     else:
-        m.grad, m._grad_replay = m.grad + g, _REPLAY
+        m._grad, m._grad_replay = grad + g, _REPLAY
+
+
+class _Factored:
+    """A weight gradient kept as factors: the sum, in arrival order, of
+    the products ``[x | tail].T @ g`` of its ``terms``.
+
+    ``rows(lo, hi)`` forms rows lo:hi, adding the terms' rows in that
+    order, the same IEEE sum as adding the whole products. ``blocks()``
+    cuts the rows into blocks of about ``GRAD_BLOCK`` entries; ``form()``
+    writes them into one array.
+    """
+
+    __slots__ = ("shape", "terms")
+
+    def __init__(self, shape, x, tail, g):
+        self.shape = shape
+        self.terms = [_Term(x, tail, g)]
+
+    def blocks(self):
+        rows, cols = self.shape
+        step = max(1, GRAD_BLOCK // max(cols, 1))
+        return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+    def rows(self, lo, hi):
+        # A one-row piece of a taller weight is padded (see _t_matmul); a
+        # one-row weight is formed as numpy forms its whole product.
+        pad = self.shape[0] > 1
+        out = self.terms[0].rows(lo, hi, pad)
+        for t in self.terms[1:]:
+            np.add(out, t.rows(lo, hi, pad), out=out)
+        return out
+
+    def form(self):
+        out = np.empty(self.shape)
+        for lo, hi in self.blocks():
+            out[lo:hi] = self.rows(lo, hi)
+        return out
+
+    def bound(self):
+        """A bound on every entry's magnitude: the sum over terms of
+        n * max|[x | tail]| * max|g|. Not finite when a factor is not."""
+        return sum(t.bound() for t in self.terms)
+
+    def arrays(self):
+        """The dense arrays the factors read."""
+        for t in self.terms:
+            yield from (a for a in (t.x, t.tail, t.g) if isinstance(a, np.ndarray))
+
+
+class _Term:
+    """One product ``[x | tail].T @ g`` into a weight gradient: ``x`` a
+    dense array (no tail) or a CSR batch, ``g`` the layer output's
+    gradient. A CSR x's touched columns are found once, here; a row block
+    builds an n x (touched columns in the block) block of x and runs one
+    GEMM, whose rows land at those columns, with zeros in the others."""
+
+    __slots__ = ("x", "tail", "g", "cols", "pos", "ids")
+
+    def __init__(self, x, tail, g):
+        self.x, self.tail, self.g = x, tail, g
+        if not isinstance(x, np.ndarray):
+            self.cols = np.unique(x.indices)
+            self.pos = np.searchsorted(self.cols, x.indices)
+            self.ids = x.row_ids()
+
+    def rows(self, lo, hi, pad):
+        x, g = self.x, self.g
+        if isinstance(x, np.ndarray):
+            return _t_matmul(x[:, lo:hi], g, pad)
+        n, m = x.shape
+        out = np.zeros((hi - lo, g.shape[1]))
+        a, b = np.searchsorted(self.cols, (lo, hi))
+        if b > a:
+            at = (self.pos >= a) & (self.pos < b)
+            block = np.zeros((n, b - a))
+            block[self.ids[at], self.pos[at] - a] = x.data[at]
+            out[self.cols[a:b] - lo] = _t_matmul(block, g, pad)
+        if hi > m:
+            t = max(lo, m)
+            out[t - lo:] = _t_matmul(self.tail[:, t - m:hi - m], g, pad)
+        return out
+
+    def bound(self):
+        x = self.x if isinstance(self.x, np.ndarray) else self.x.data
+        h = np.maximum(_amax(x), _amax(self.tail))  # keeps a nan
+        return self.g.shape[0] * float(h) * _amax(self.g)
+
+
+def _amax(a):
+    """max |a| with no temporary: nan if ``a`` holds one, 0 if empty."""
+    if a is None or a.size == 0:
+        return 0.0
+    return float(np.maximum(a.max(), -a.min()))
+
+
+def _t_matmul(a, g, pad):
+    """``a.T @ g``. With ``pad``, one column of ``a`` still goes through
+    BLAS's matrix-matrix product, by a zero column beside it: numpy sends
+    a one-row product to the matrix-vector one, whose sums round
+    differently, so a row would change with the block it is formed in."""
+    if a.shape[1] == 1 and pad:
+        return (np.concatenate([a, np.zeros_like(a)], axis=1).T @ g)[:1]
+    return a.T @ g
 
 
 def _op(data, *inputs):
@@ -189,7 +329,7 @@ def _op(data, *inputs):
             if g is not None:
                 for m, fn in live:
                     gm = fn(g)
-                    _acc(m, gm, gm is not g and gm.base is None)
+                    _acc(m, gm, gm is not g and getattr(gm, "base", None) is None)
 
         tape._ops.append(bwd)
     return out
@@ -221,10 +361,9 @@ def linear(x, w, b, tail=None):
     of ``w`` at its columns, so the forward pass reads only those rows. The
     bias is added into the product's own array.
 
-    For a CSR ``x`` the gradient into ``w`` is zero outside the columns the
-    batch touches. Those are walked in chunks of ``GRAD_COLS``: each chunk
-    is one GEMM over an n x chunk block of x, written into that chunk's
-    rows of the gradient, so no block or product spans every touched column.
+    The gradient into ``w``, ``[x | tail].T @ g``, is not formed here: it
+    is kept as its factors (see the module docstring), and for a CSR ``x``
+    it is zero outside the columns the batch touches.
     """
     n, m = x.shape
     dense = isinstance(x, Matrix)
@@ -235,39 +374,22 @@ def linear(x, w, b, tail=None):
     wd = w.data
     if dense:
         out = x.data @ wd
-        inputs = [(x, lambda g: g @ wd.T), (w, lambda g: x.data.T @ g)]
+        inputs = [(x, lambda g: g @ wd.T),
+                  (w, lambda g: _Factored(w.shape, x.data, None, g))]
     else:
         vals, idx, ptr = x.data, x.indices, x.indptr.tolist()
         out = np.empty((n, w.cols))
         for r in range(n):
             lo, hi = ptr[r], ptr[r + 1]
             np.dot(vals[lo:hi], wd.take(idx[lo:hi], axis=0), out=out[r])
-        inputs = [(w, lambda g: _csr_weight_grad(x, w.shape, tail, g))]
+        td = None if tail is None else tail.data
+        inputs = [(w, lambda g: _Factored(w.shape, x, td, g))]
         if tail is not None:
             out += tail.data @ wd[m:]
             inputs.append((tail, lambda g: g @ wd[m:].T))
     out += b.data
     inputs.append((b, lambda g: g.sum(axis=0, keepdims=True)))
     return _op(out, *inputs)
-
-
-def _csr_weight_grad(x, shape, tail, g):
-    """``[x | tail].T @ g`` for a CSR ``x``, over x's touched columns in
-    chunks of ``GRAD_COLS``; every other row of x's part is zero."""
-    n, m = x.shape
-    gw = np.zeros(shape)
-    cols = np.unique(x.indices)
-    pos = np.searchsorted(cols, x.indices)
-    rows = x.row_ids()
-    for lo in range(0, cols.size, GRAD_COLS):
-        hi = min(lo + GRAD_COLS, cols.size)
-        at = (pos >= lo) & (pos < hi)
-        block = np.zeros((n, hi - lo))
-        block[rows[at], pos[at] - lo] = x.data[at]
-        gw[cols[lo:hi]] = block.T @ g
-    if tail is not None:
-        np.matmul(tail.data.T, g, out=gw[m:])
-    return gw
 
 
 def transpose(a):
@@ -391,8 +513,10 @@ def multinomial_log_lik(logits, x):
     out = np.bincount(row, weights=x.data * y[row, idx], minlength=n)
 
     def grad(g):
+        # Only this closure holds y, and a tape replays once: exp(y) goes
+        # into y's own buffer.
         s = np.bincount(row, weights=x.data, minlength=n).reshape(n, 1)
-        gl = np.exp(y)
+        gl = np.exp(y, out=y)
         gl *= -g * s
         gl[row, idx] += g[row, 0] * x.data
         return gl

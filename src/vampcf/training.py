@@ -33,6 +33,10 @@ ANNEAL_EPOCHS_DEFAULT = 20
 
 ADAM_CONSTANTS = (0.9, 0.999, 1e-8)  # Adam's beta1, beta2 and eps
 
+# A factored gradient whose factors bound every entry by this much has
+# finite squares (1e300), so it passes the check without being formed.
+FACTORED_BOUND = 1e150
+
 
 @dataclass
 class TrainConfig:
@@ -112,15 +116,29 @@ def adam_step(params, state, lr):
     pass over the entries. A sum of squares that overflows while every
     square is finite still steps, and the norm is then computed scaled by
     the largest entry, so it is finite.
+
+    A weight gradient that ``linear`` left as factors is checked without
+    being formed when its factors are finite and bound every entry by
+    ``FACTORED_BOUND``, whose square is finite; none of them may be a
+    parameter's own array, which the update moves. It is then formed one
+    row block at a time, each block's rows of the parameter and moments
+    updated while the block is in cache, and its sum of squares is the sum
+    of the blocks' dot products. Any other factored gradient is formed
+    whole and checked as above.
     """
     named = params.named_parameters()
-    grads = {}
-    sum_sq = 0.0
+    owned = [p.data for p in named.values()]
+    grads, sq = {}, {}
     for name, p in named.items():
+        fg = p._factored_grad()
+        if fg is not None and fg.bound() <= FACTORED_BOUND and not any(
+                np.may_share_memory(a, d) for a in fg.arrays() for d in owned):
+            grads[name] = fg
+            continue
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         gf = g.ravel()
-        sq = float(np.dot(gf, gf))
-        if not math.isfinite(sq):
+        sq[name] = float(np.dot(gf, gf))
+        if not math.isfinite(sq[name]):
             big = float(np.max(np.abs(gf)))
             where = f"in {name} at optimizer step {state.step + 1}"
             if not math.isfinite(big):
@@ -128,23 +146,38 @@ def adam_step(params, state, lr):
             if not math.isfinite(big * big):
                 raise NumericalError(
                     f"gradient entry {big:.3g} {where} overflows when squared")
-        sum_sq += sq
         grads[name] = g
-    norm = math.sqrt(sum_sq) if math.isfinite(sum_sq) else _scaled_norm(grads.values())
     state.step += 1
     for name, p in named.items():
-        kernels.adam_update(p.data, grads[name], state.m[name], state.v[name],
-                            state.step, lr, *ADAM_CONSTANTS)
-    return norm
+        g, m, v = grads[name], state.m[name], state.v[name]
+        if isinstance(g, np.ndarray):
+            kernels.adam_update(p.data, g, m, v, state.step, lr, *ADAM_CONSTANTS)
+            continue
+        sq[name] = 0.0
+        for lo, hi in g.blocks():
+            gb = g.rows(lo, hi)
+            sq[name] += float(np.dot(gb.ravel(), gb.ravel()))
+            kernels.adam_update(p.data[lo:hi], gb, m[lo:hi], v[lo:hi],
+                                state.step, lr, *ADAM_CONSTANTS)
+            del gb  # or two blocks are alive while the next one forms
+    sum_sq = sum(sq[name] for name in named)
+    return math.sqrt(sum_sq) if math.isfinite(sum_sq) else _scaled_norm(grads.values())
+
+
+def _blocks(g):
+    """A gradient's arrays: itself, or a factored one's row blocks."""
+    if isinstance(g, np.ndarray):
+        return [g]
+    return (g.rows(lo, hi) for lo, hi in g.blocks())
 
 
 def _scaled_norm(grads):
-    """The L2 norm of all the arrays together, summed scaled by the largest
-    magnitude so that no square overflows."""
+    """The L2 norm of all the gradients together, summed scaled by the
+    largest magnitude so that no square overflows."""
     grads = list(grads)
-    top = max(float(np.max(np.abs(g))) for g in grads if g.size)
-    return top * math.sqrt(sum(float(np.dot(f, f)) for f in
-                               (g.ravel() / top for g in grads)))
+    top = max(float(np.max(np.abs(b))) for g in grads for b in _blocks(g) if b.size)
+    return top * math.sqrt(sum(float(np.dot(f, f)) for g in grads
+                               for f in (b.ravel() / top for b in _blocks(g))))
 
 
 @dataclass

@@ -656,18 +656,108 @@ class TestSparseWeightGradient:
         gw = self.grad(CSRMatrix.from_dense(np.zeros((3, 10))), 4, tail_cols=2)
         assert np.all(gw[:10] == 0.0)
 
-    @pytest.mark.parametrize("tail_cols", [0, 3])
-    def test_column_chunks_do_not_change_a_bit(self, tail_cols, monkeypatch):
-        """Chunks of 2 touched columns and one chunk over all of them give
-        the same gradient, on a batch whose touched columns have gaps."""
-        x, dense = _random_csr(np.random.default_rng(83), 6, 40, density=0.15)
-        touched = np.flatnonzero(dense.any(axis=0))
-        assert touched.size > 4 and np.any(np.diff(touched) > 1)
-        grads = []
-        for chunk in (2, 10**9):
-            monkeypatch.setattr(ad, "GRAD_COLS", chunk)
-            grads.append(self.grad(x, 5, tail_cols, seed=3))
-        assert np.array_equal(grads[0], grads[1])
+
+class TestFactoredWeightGradient:
+    """``linear`` keeps its weight gradient as factors, formed one row
+    block of about ``GRAD_BLOCK`` entries at a time. Every block size gives
+    the dense product ``[x | tail].T @ g`` bit for bit: on 43 weight rows
+    at width 5, blocks of 1 row, of 3 (43 is not a multiple of 3, so the
+    last block is one row) and of the whole tensor."""
+
+    WIDTH = 5
+
+    @staticmethod
+    def case(kind):
+        """(x for linear, tail or None, the dense [x | tail], g) for a
+        weight of 43 rows: dense x, or CSR x with an empty row and
+        untouched columns, with or without a tail."""
+        rng = np.random.default_rng(84)
+        g = rng.standard_normal((6, TestFactoredWeightGradient.WIDTH))
+        if kind == "dense":
+            x = rng.standard_normal((6, 43))
+            return Matrix(x, requires_grad=True), None, x, g
+        cols = 43 if kind == "csr" else 40
+        x, dense = _random_csr(rng, 6, cols, density=0.15)
+        assert not dense[0].any() and not dense.any(axis=0).all()
+        if kind == "csr":
+            return x, None, dense, g
+        tail = rng.standard_normal((6, 3))
+        return x, Matrix(tail), np.concatenate([dense, tail], axis=1), g
+
+    def factored(self, x, tail, g):
+        w = Matrix(np.ones((43, self.WIDTH)), requires_grad=True)
+        b = Matrix(np.zeros((1, self.WIDTH)))
+        with Tape() as tape:
+            tape.backward(_dot(ad.linear(x, w, b, tail), ad.constant(g)))
+        return w
+
+    @pytest.mark.parametrize("kind", ["dense", "csr", "csr_tail"])
+    @pytest.mark.parametrize("block_rows", [1, 3, 43])
+    def test_blocks_give_the_whole_product(
+            self, kind, block_rows, monkeypatch):
+        monkeypatch.setattr(ad, "GRAD_BLOCK", block_rows * self.WIDTH)
+        x, tail, h, g = self.case(kind)
+        expected = h.T @ g
+        w = self.factored(x, tail, g)
+        fg = w._factored_grad()
+        assert len(fg.blocks()) == -(-43 // block_rows)
+        blocks = [fg.rows(lo, hi) for lo, hi in fg.blocks()]
+        assert np.array_equal(np.concatenate(blocks), expected)
+        assert np.array_equal(w.grad, expected)  # formed on read, and kept
+        assert w._factored_grad() is None and w.grad is w.grad
+
+    @pytest.mark.parametrize("bad", [None, "x", "tail", "g"])
+    def test_bound_covers_every_entry_and_not_a_nonfinite_factor(self, bad):
+        x, tail, h, g = self.case("csr_tail")
+        if bad is not None:
+            {"x": x.data, "tail": tail.data, "g": g}[bad].reshape(-1)[-1] = np.nan
+        bound = self.factored(x, tail, g)._factored_grad().bound()
+        if bad is None:
+            assert np.abs(h.T @ g).max() <= bound < math.inf
+        else:
+            assert not math.isfinite(bound)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 43])
+    def test_two_products_sum_in_arrival_order(self, block_rows, monkeypatch):
+        """The Vamp first layer's case: the batch's CSR product and a dense
+        one into the same weight. Recorded last, the dense one arrives
+        first, and each block adds the two in that order."""
+        monkeypatch.setattr(ad, "GRAD_BLOCK", block_rows * self.WIDTH)
+        xs, _, hs, gs = self.case("csr")
+        xd, _, hd, gd = self.case("dense")
+        gd = gd[::-1].copy()
+        w = Matrix(np.ones((43, self.WIDTH)), requires_grad=True)
+        b = Matrix(np.zeros((1, self.WIDTH)))
+        with Tape() as tape:
+            tape.backward(_total(_dot(ad.linear(xs, w, b), ad.constant(gs)),
+                                 _dot(ad.linear(xd, w, b), ad.constant(gd))))
+        assert len(w._factored_grad().terms) == 2
+        assert np.array_equal(w.grad, hd.T @ gd + hs.T @ gs)
+
+    @pytest.mark.parametrize("dense_first", [True, False])
+    def test_a_dense_gradient_into_the_weight_forms_it(self, dense_first):
+        """A weight that also gets an array gradient (gridcheck's corrupt
+        term does) holds the same sum as two arrays would."""
+        x, _, h, g = self.case("csr")
+        q = np.random.default_rng(85).standard_normal((43, self.WIDTH))
+        w = Matrix(np.ones((43, self.WIDTH)), requires_grad=True)
+        b = Matrix(np.zeros((1, self.WIDTH)))
+        with Tape() as tape:
+            terms = [_dot(ad.linear(x, w, b), ad.constant(g)),
+                     _dot(w, ad.constant(q))]
+            tape.backward(_total(*(terms[::-1] if dense_first else terms)))
+        product = h.T @ g
+        assert np.array_equal(w.grad, q + product if dense_first else product + q)
+
+    def test_factors_of_an_earlier_replay_are_not_extended(self):
+        x, _, h, g = self.case("csr")
+        w = Matrix(np.ones((43, self.WIDTH)), requires_grad=True)
+        b = Matrix(np.zeros((1, self.WIDTH)))
+        for _ in range(2):
+            with Tape() as tape:
+                tape.backward(_dot(ad.linear(x, w, b), ad.constant(g)))
+        product = h.T @ g
+        assert np.array_equal(w.grad, product + product)
 
 
 def _dropout_scaled_target(rng):
