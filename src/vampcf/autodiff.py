@@ -10,30 +10,18 @@ is dropped as soon as it has run, and with it the forward values it read
 and the gradient of its result, so a backward pass holds only what the
 steps still to run will read.
 
-A second gradient into a Matrix is added into its gradient array in place
-(``np.add(grad, g, out=grad)``, the same IEEE sum as ``grad + g``) when
-the Matrix owns that array: the replay running now made it for this
-Matrix alone. That is so when it came new from a gradient map (not the
-incoming gradient itself and not a view of any array), when ``_acc`` made
-it as a sum, or when it is ``split_cols``' own buffer. Otherwise the sum is
-a new array, which the Matrix then owns. So backward never writes into
-what an identity map hands on (``add``, ``sub``'s left side,
-``add_scalar``, an unbroadcast bias), since one array can then be two
-operands' gradient; nor into a read-only broadcast view from ``sum_all``
-or ``sum_rows``; nor into a view that ``transpose`` or ``concat_cols``
-hands on for a single row; nor into an array a caller assigned to
-``.grad``, or one an earlier replay made.
+A second gradient into a Matrix is the new array ``grad + g``: backward
+never writes into a gradient array once a gradient map has handed it on.
 
-A layer's weight gradient is the exception: ``linear`` keeps it as its
-factors, the layer input and the output's gradient, in a ``_Factored``.
-Further products into the same weight during the same replay join it as
-terms, in the order they arrive, and the optimizer forms it one row block
-of about ``GRAD_BLOCK`` entries at a time, adding the terms in that order,
-so no whole weight gradient is held. Reading ``Matrix.grad`` forms it
-whole, through the same blocks, and keeps the array; so does a dense
-gradient reaching the same Matrix, which is then added as above. The
-factors are read after the backward pass, so the arrays they name must
-not change before the gradient is formed.
+A layer's weight gradient is kept as its factors: ``linear`` records the
+layer input and the output's gradient in a ``_Factored``. Further products
+into the same weight join it as terms, in the order they arrive, and the
+optimizer forms it one row block of about ``GRAD_BLOCK`` entries at a
+time, adding the terms in that order, so no whole weight gradient is held.
+Reading ``Matrix.grad`` forms it whole, through the same blocks, and keeps
+the array; so does a dense gradient reaching the same Matrix, which is
+then added as above. The factors are read after the backward pass; that
+rule keeps the arrays they name unchanged until then.
 
 Every primitive records itself by one rule, in ``_op``: when a tape is
 active and at least one operand requires a gradient, the result requires
@@ -66,10 +54,6 @@ GRAD_BLOCK = 1 << 20
 
 _ACTIVE = None
 
-# The number of the latest backward replay; a gradient array marked with
-# it is owned by its Matrix (see the module docstring).
-_REPLAY = 0
-
 
 class Tape:
     """Ordered record of the primitive ops applied while active."""
@@ -98,13 +82,11 @@ class Tape:
         Each step is popped off the tape before it runs, so it is freed as
         soon as it returns; a second call raises ``ConfigError``.
         """
-        global _REPLAY
         if self._replayed:
             raise ConfigError("a tape replays once")
         if out.shape != (1, 1):
             raise ShapeError(f"backward needs a 1x1 scalar, got {out.shape}")
         self._replayed = True
-        _REPLAY += 1
         out.grad = np.ones((1, 1))
         ops = self._ops
         while ops:
@@ -116,14 +98,10 @@ class Matrix:
 
     ``grad`` is the gradient array or None; ``_grad`` may instead hold a
     ``_Factored`` weight gradient, which the first read of ``grad`` forms.
-    ``_grad_replay`` is the number of the backward replay that owns
-    ``grad``, or 0. A number rather than a reference, it keeps no array
-    alive, and it marks an array for that one replay only: one that an
-    earlier replay made, or that a caller assigned between replays, is
-    never written into.
+    No gradient array is written into once it is held here.
     """
 
-    __slots__ = ("data", "_grad", "requires_grad", "_grad_replay")
+    __slots__ = ("data", "_grad", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -136,7 +114,6 @@ class Matrix:
         self.data = arr
         self._grad = None
         self.requires_grad = requires_grad
-        self._grad_replay = 0
 
     @property
     def grad(self):
@@ -146,7 +123,7 @@ class Matrix:
 
     @grad.setter
     def grad(self, g):
-        self._grad, self._grad_replay = g, 0
+        self._grad = g
 
     def _factored_grad(self):
         """The gradient as a ``_Factored``, or None when it is an array or
@@ -179,29 +156,20 @@ def _wrap(arr):
     m.data = arr
     m._grad = None
     m.requires_grad = False
-    m._grad_replay = 0
     return m
 
 
-def _acc(m, g, fresh):
-    """Accumulate ``g`` into ``m``'s gradient. ``fresh`` says that nothing
-    but ``g`` itself holds its array, so ``m`` may own it. A ``_Factored``
-    ``g`` joins a factored gradient of this replay as more terms; anywhere
-    else it is formed first, and a factored gradient meeting an array is
-    formed too."""
+def _acc(m, g):
+    """Accumulate ``g`` into ``m``'s gradient: a first one is kept as
+    given, a ``_Factored`` ``g`` joins a factored gradient as more terms,
+    and anything else is the new array ``m.grad + g``, a factored side
+    formed first."""
     if m._grad is None:
-        m._grad, m._grad_replay = g, (_REPLAY if fresh else 0)
-        return
-    if isinstance(g, _Factored):
-        if m._factored_grad() is not None and m._grad_replay == _REPLAY:
-            m._grad.terms += g.terms
-            return
-        g = g.form()
-    grad = m.grad
-    if m._grad_replay == _REPLAY:
-        np.add(grad, g, out=grad)
+        m._grad = g
+    elif isinstance(g, _Factored) and m._factored_grad() is not None:
+        m._grad.terms += g.terms
     else:
-        m._grad, m._grad_replay = grad + g, _REPLAY
+        m._grad = m.grad + (g.form() if isinstance(g, _Factored) else g)
 
 
 class _Factored:
@@ -311,10 +279,12 @@ def _op(data, *inputs):
     """Wrap ``data`` as a primitive's result and record its backward step.
 
     Each input is an ``(operand, grad_fn)`` pair, where ``grad_fn`` maps the
-    result's gradient to that operand's: a new array, or the result's
-    gradient itself or a view of it, never another array that outlives the
-    call. Nothing is recorded unless a tape is active and some operand
-    requires a gradient.
+    result's gradient to that operand's: an array, which may be the result's
+    gradient itself or a view of one, or a ``_Factored``. Once handed on, no
+    step writes into that array again, so it can be several operands'
+    gradient and a factor that ``adam_step`` reads after the pass. Nothing
+    is recorded unless a tape is active and some operand requires a
+    gradient.
     """
     out = _wrap(data)
     tape = _ACTIVE
@@ -328,8 +298,7 @@ def _op(data, *inputs):
             g = out.grad
             if g is not None:
                 for m, fn in live:
-                    gm = fn(g)
-                    _acc(m, gm, gm is not g and getattr(gm, "base", None) is None)
+                    _acc(m, fn(g))
 
         tape._ops.append(bwd)
     return out
@@ -577,7 +546,7 @@ def split_cols(a, k):
             g = np.empty(a.shape)
             g[:, :k] = 0.0 if left.grad is None else left.grad
             g[:, k:] = 0.0 if right.grad is None else right.grad
-            _acc(a, g, True)
+            _acc(a, g)
 
         tape._ops.append(bwd)
     return left, right

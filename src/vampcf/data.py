@@ -375,15 +375,21 @@ def _read_pairs_csv(path, n_items):
 
 
 def read_vocab(split_dir):
-    """The item ids of a split directory's ``vocab.csv``, in index order."""
+    """The item ids of a split directory's ``vocab.csv``, in index order.
+    Each row's index is its position, and no item id is listed twice."""
     path = os.path.join(split_dir, "vocab.csv")
-    vocab = []
+    vocab, seen = [], set()
     with _csv_reader(path) as reader:
         next(reader, None)  # header
         for row in reader:
+            where = f"{path}: line {reader.line_num}: "
             if len(row) < 2:
-                raise DataError(f"{path}: line {reader.line_num}: "
-                                f"expected index,item_id, got {row!r}")
+                raise DataError(f"{where}expected index,item_id, got {row!r}")
+            if row[0] != str(len(vocab)):
+                raise DataError(f"{where}expected index {len(vocab)}, got {row[0]!r}")
+            if row[1] in seen:
+                raise DataError(f"{where}item id {row[1]!r} listed twice")
+            seen.add(row[1])
             vocab.append(row[1])
     return vocab
 

@@ -178,10 +178,10 @@ def _total(*terms):
 
 
 class TestGradientOwnership:
-    """A second gradient is added into a Matrix's gradient array in place
-    only when that Matrix owns the array. Every gradient equals its sum
-    written out by hand, bit for bit, and no array that another Matrix or
-    the caller holds changes."""
+    """Backward writes into no gradient array it has handed on: a second
+    gradient into a Matrix is the new array ``grad + g``. Every gradient
+    equals its sum written out by hand, bit for bit, and no array that
+    another Matrix or the caller holds changes."""
 
     @staticmethod
     def arrays(*shapes, seed=0):
@@ -749,15 +749,24 @@ class TestFactoredWeightGradient:
         product = h.T @ g
         assert np.array_equal(w.grad, q + product if dense_first else product + q)
 
-    def test_factors_of_an_earlier_replay_are_not_extended(self):
+    def test_a_second_replay_joins_the_first_replays_terms(self):
+        """Neither replay writes into an array: x, g and the factors the
+        first replay recorded are unchanged by the second."""
         x, _, h, g = self.case("csr")
+        kept = [x.data.copy(), g.copy()]
         w = Matrix(np.ones((43, self.WIDTH)), requires_grad=True)
         b = Matrix(np.zeros((1, self.WIDTH)))
-        for _ in range(2):
+        for replay in range(2):
             with Tape() as tape:
                 tape.backward(_dot(ad.linear(x, w, b), ad.constant(g)))
+            if replay == 0:
+                first = list(w._factored_grad().arrays())
+                first_kept = [a.copy() for a in first]
+        assert len(w._factored_grad().terms) == 2
         product = h.T @ g
         assert np.array_equal(w.grad, product + product)
+        for a, k in zip([x.data, g, *first], kept + first_kept):
+            assert np.array_equal(a, k)
 
 
 def _dropout_scaled_target(rng):

@@ -434,6 +434,27 @@ class TestSplitArtifact:
         with pytest.raises(DataError, match="vocab.csv: line 2: expected index,item_id"):
             load_split(str(out))
 
+    def test_vocab_index_that_is_not_the_row_position_rejected(self, tmp_path):
+        out = self.saved_split(tmp_path)
+        path = out / "vocab.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = "7," + lines[3].split(",")[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError,
+                           match="vocab.csv: line 4: expected index 2, got '7'"):
+            load_split(str(out))
+
+    def test_vocab_item_id_listed_twice_rejected(self, tmp_path):
+        out = self.saved_split(tmp_path)
+        path = out / "vocab.csv"
+        lines = path.read_text().splitlines()
+        first = lines[1].split(",")[1]
+        lines[3] = f"2,{first}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError,
+                           match=f"vocab.csv: line 4: item id '{first}' listed twice"):
+            load_split(str(out))
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"n_items": 3}'])
     def test_malformed_meta_rejected(self, tmp_path, text):
         out = self.saved_split(tmp_path)
