@@ -325,26 +325,27 @@ def linear(x, w, b, tail=None):
 
     ``x`` is a dense ``Matrix`` or a constant CSR batch
     (``data``/``indices``/``indptr``/``shape`` in scipy's layout) into which
-    no gradient flows; a dense ``tail``, whose columns follow x's, needs a
-    CSR ``x``. Row r of a CSR ``x @ w`` is its stored values times the rows
-    of ``w`` at its columns, so the forward pass reads only those rows. The
-    bias is added into the product's own array.
+    no gradient flows; an optional dense ``tail`` supplies the columns after
+    x's. A dense ``x`` is joined to its tail and goes through one product.
+    Row r of a CSR ``x @ w`` is its stored values times the rows of ``w``
+    at its columns, so the forward pass reads only those rows, and the
+    tail adds one more product. The bias is added into the product's own
+    array.
 
     The gradient into ``w``, ``[x | tail].T @ g``, is not formed here: it
     is kept as its factors (see the module docstring), and for a CSR ``x``
     it is zero outside the columns the batch touches.
     """
     n, m = x.shape
-    dense = isinstance(x, Matrix)
-    t = 0 if tail is None else tail.cols
-    if (m + t != w.rows or b.shape != (1, w.cols)
-            or (tail is not None and (dense or tail.rows != n))):
-        raise ShapeError(f"linear: {x.shape} | {(n, t)} x {w.shape} + {b.shape}")
+    ts = (n, 0) if tail is None else tail.shape
+    if m + ts[1] != w.rows or ts[0] != n or b.shape != (1, w.cols):
+        raise ShapeError(f"linear: {x.shape} | {ts} x {w.shape} + {b.shape}")
     wd = w.data
-    if dense:
-        out = x.data @ wd
-        inputs = [(x, lambda g: g @ wd.T),
-                  (w, lambda g: _Factored(w.shape, x.data, None, g))]
+    if isinstance(x, Matrix):
+        h = x.data if tail is None else np.concatenate([x.data, tail.data], axis=1)
+        out = h @ wd
+        inputs = [(x, lambda g: g @ wd[:m].T),
+                  (w, lambda g: _Factored(w.shape, h, None, g))]
     else:
         vals, idx, ptr = x.data, x.indices, x.indptr.tolist()
         out = np.empty((n, w.cols))
@@ -354,8 +355,9 @@ def linear(x, w, b, tail=None):
         td = None if tail is None else tail.data
         inputs = [(w, lambda g: _Factored(w.shape, x, td, g))]
         if tail is not None:
-            out += tail.data @ wd[m:]
-            inputs.append((tail, lambda g: g @ wd[m:].T))
+            out += td @ wd[m:]
+    if tail is not None:
+        inputs.append((tail, lambda g: g @ wd[m:].T))
     out += b.data
     inputs.append((b, lambda g: g.sum(axis=0, keepdims=True)))
     return _op(out, *inputs)
@@ -519,19 +521,10 @@ def l2_normalize_rows(a):
     return _op(y, (a, lambda g: K.l2_normalize_rows_bwd(y, inv, g)))
 
 
-def concat_cols(a, b):
-    if a.rows != b.rows:
-        raise ShapeError(f"concat_cols: {a.shape} | {b.shape}")
-    k = a.cols
-    return _op(np.concatenate([a.data, b.data], axis=1),
-               (a, lambda g: np.ascontiguousarray(g[:, :k])),
-               (b, lambda g: np.ascontiguousarray(g[:, k:])))
-
-
 def split_cols(a, k):
-    """``(a[:, :k], a[:, k:])``: the inverse of ``concat_cols``. The halves
-    are column views of ``a``, not copies. One backward step writes both
-    halves of a's gradient; a half that received none contributes zeros."""
+    """``(a[:, :k], a[:, k:])``, as column views of ``a``, not copies. One
+    backward step writes both halves of a's gradient; a half that received
+    none contributes zeros."""
     if not 0 < k < a.cols:
         raise ShapeError(f"split_cols: cannot split {a.shape} at column {k}")
     left = _wrap(a.data[:, :k])

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Matrix
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, check_int
 
 
 @dataclass
@@ -124,10 +124,8 @@ def split(data, n_heldout_users, fold_in_fraction=0.8, seed=0):
     """
     if not 0.0 < fold_in_fraction < 1.0:
         raise ConfigError(f"fold_in_fraction must be in (0, 1), got {fold_in_fraction}")
-    if n_heldout_users < 1:
-        raise ConfigError("n_heldout_users must be >= 1")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    n_heldout_users = check_int("n_heldout_users", n_heldout_users, 1)
+    seed = check_int("seed", seed, 0)
     data = sorted(data)
     n_users = len(data)
     if 2 * n_heldout_users >= n_users:

@@ -3,6 +3,7 @@
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericalError -> 3.
 """
+import numbers
 
 
 class VampCFError(Exception):
@@ -23,3 +24,13 @@ class DataError(VampCFError):
 
 class NumericalError(VampCFError):
     """Non-finite values where finite ones are required."""
+
+
+def check_int(name, value, low):
+    """``value`` as an ``int``, or a ``ConfigError`` unless it is an integer
+    (a numpy one counts, a bool does not) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return int(value)

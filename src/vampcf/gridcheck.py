@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import CSRMatrix
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .model import (HIERARCHIES, LIKELIHOODS, PRIORS, ModelConfig, elbo,
                     init_params)
 
@@ -61,8 +61,7 @@ def check_cell(cell_kwargs, seed=0, corrupt=False):
     gradients disagree with finite differences; a negative control for
     the checker itself.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    seed = check_int("seed", seed, 0)
     cfg = tiny_config(**cell_kwargs)
     rng = np.random.default_rng(seed)
     x_train = _tiny_batch(rng, 8, cfg.n_items)

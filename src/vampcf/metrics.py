@@ -15,7 +15,7 @@ import numpy as np
 # Only perfbench's tracer reads ``metrics.to_dense_batch``; this import goes
 # with ROADMAP item 1, when the tracer patches names where they are defined.
 from .data import CSRMatrix, to_dense_batch  # noqa: F401
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_int
 from .model import ModelParams, score_items
 
 METRIC_NAMES = ("ndcg", "recall")
@@ -45,8 +45,7 @@ def ranked_candidates(scores, mask):
 
 
 def _check_inputs(scores, heldout, mask, k):
-    if k < 1:
-        raise ConfigError(f"K must be >= 1, got {k}")
+    check_int("K", k, 1)
     heldout = np.asarray(sorted(heldout), dtype=np.int64)
     mask_set = set(int(i) for i in mask)
     if any(int(i) in mask_set for i in heldout):
@@ -218,9 +217,9 @@ def evaluate(users, scorer, ks, n_items=None, fingerprint="",
     each with one exact partial top-k. Every per-user value equals what
     ``ndcg_at_k`` / ``recall_at_k`` give on the same scores.
     """
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise ConfigError("Ks must be positive")
+    ks = sorted(set(check_int("K", k, 1) for k in ks))
+    if not ks:
+        raise ConfigError("evaluate needs at least one K")
     n_items, score_block = _make_scorer(scorer, n_items)
     max_k = min(ks[-1], n_items)
     # The oracle's denominators: DCG of n straight hits, n = 0..max_k.

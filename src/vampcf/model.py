@@ -33,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Matrix
 from .data import CSRMatrix
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_int
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -72,12 +72,8 @@ class ModelConfig:
         if self.hierarchy == "two_level" and self.prior != "vamp":
             raise ConfigError("two_level hierarchy requires the vamp prior")
         for name in ("n_items", "depth", "hidden", "d_z1", "d_z2", "n_pseudo"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < 1 and name != "n_pseudo":
-                raise ConfigError(f"{name} must be >= 1")
-            setattr(self, name, int(value))
+            setattr(self, name, check_int(name, getattr(self, name),
+                                          0 if name == "n_pseudo" else 1))
         if not isinstance(self.gated, bool):
             raise ConfigError(f"gated must be a bool, got {self.gated!r}")
         if self.prior == "vamp" and self.n_pseudo < 1:
@@ -250,7 +246,7 @@ def empty_params(config):
 
 def gated_layer(x, p, gated, tail=None):
     """(hW + b) * sigmoid(hV + c) when gated, else tanh(hW + b), for
-    h = [x | tail]; a ``tail`` (dense columns after x's) needs a CSR x.
+    h = [x | tail] (see ``autodiff.linear``).
     A gated layer's ``p`` holds ``[W|V]`` and ``[b|c]``: one product, whose
     columns split into the linear path and the gate."""
     pre = ad.linear(x, p.W, p.b, tail)
@@ -321,10 +317,7 @@ def _encode_z2_prepared(h, params):
 
 
 def _encode_z1_prepared(h, z2_value, params):
-    """The first layer reads [items | z2]: a gather over the items and a
-    small GEMM over z2 for CSR input, one concatenated GEMM for dense."""
-    if isinstance(h, Matrix):
-        h, z2_value = ad.concat_cols(h, z2_value), None
+    """The first layer reads [items | z2]: z2 is its ``linear`` tail."""
     return _run_head(_run_trunk(h, params.encoder_z1, params.config.gated, z2_value),
                      params.head_z1)
 
@@ -362,18 +355,13 @@ def sample(g, rng):
 
 
 def decode(z1, z2, params):
-    """Unnormalized logits over all items; two-level models concatenate
-    both latents, flat models consume z1 alone."""
+    """Unnormalized logits over all items. The first layer of a two-level
+    model reads [z1 | z2], z2 being its ``linear`` tail; a flat model's
+    reads z1 alone."""
     cfg = params.config
-    if cfg.two_level:
-        if z2 is None:
-            raise ConfigError("two_level decode needs both latents")
-        h, expected = ad.concat_cols(z1, z2), cfg.d_z1 + cfg.d_z2
-    else:
-        h, expected = z1, cfg.d_z2
-    if h.cols != expected:
-        raise ConfigError(f"decode: latent width {h.cols}, expected {expected}")
-    h = _run_trunk(h, params.decoder, cfg.gated)
+    if cfg.two_level and z2 is None:
+        raise ConfigError("two_level decode needs both latents")
+    h = _run_trunk(z1, params.decoder, cfg.gated, z2 if cfg.two_level else None)
     return ad.linear(h, params.head_out.W, params.head_out.b)
 
 

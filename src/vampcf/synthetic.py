@@ -15,7 +15,7 @@ import csv
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 IN_BLOCK_FRACTION = 0.85  # share of a user's items from their own block
 DECAY = 0.8  # popularity inside a block falls as 1 / (rank + 3) ** DECAY
@@ -29,13 +29,17 @@ def archetype_interactions(n_users=1200, n_items=300, n_archetypes=3, seed=0,
     Item ids are zero-padded so lexicographic order matches block layout.
     Deterministic given the arguments; sizes it cannot honour raise ConfigError.
     """
-    if n_users < 1 or not 1 <= n_archetypes <= n_items or n_items % n_archetypes:
+    n_users, n_items, n_archetypes, min_items, max_items = (
+        check_int(name, value, 1) for name, value in (
+            ("n_users", n_users), ("n_items", n_items),
+            ("n_archetypes", n_archetypes), ("min_items", min_items),
+            ("max_items", max_items)))
+    seed = check_int("seed", seed, 0)
+    if n_archetypes > n_items or n_items % n_archetypes:
         raise ConfigError(f"cannot give {n_users} users {n_items} items in "
                           f"{n_archetypes} equal non-empty archetype blocks")
     if min_items > max_items:
         raise ConfigError(f"min_items {min_items} exceeds max_items {max_items}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     block = n_items // n_archetypes
     most_in = max(1, round(IN_BLOCK_FRACTION * max_items))
     if most_in > block:

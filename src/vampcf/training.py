@@ -25,7 +25,7 @@ from . import kernels
 from .autodiff import Tape
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import CSRMatrix
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_int
 from .metrics import METRIC_NAMES, evaluate
 from .model import elbo, init_params
 
@@ -53,19 +53,16 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.beta_cap <= 1.0:
             raise ConfigError(f"beta_cap must be in [0, 1], got {self.beta_cap}")
-        if self.anneal_steps is not None and self.anneal_steps < 1:
-            raise ConfigError("anneal_steps must be >= 1")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("batch_size and max_epochs must be >= 1")
+        for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 0),
+                          ("seed", 0)):
+            setattr(self, name, check_int(name, getattr(self, name), low))
+        if self.anneal_steps is not None:
+            self.anneal_steps = check_int("anneal_steps", self.anneal_steps, 1)
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
-        if self.patience < 0:
-            raise ConfigError("patience must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         parse_metric(self.eval_metric)
 
     def to_dict(self):

@@ -242,17 +242,6 @@ class TestGradientOwnership:
         assert np.array_equal(a.grad, p.T + q)
         assert np.array_equal(t.grad, p)
 
-    def test_single_row_concat_cols_hands_on_views(self):
-        a, b = [Matrix(x, requires_grad=True) for x in self.arrays((1, 2), (1, 3))]
-        qa, qb, p = self.arrays((1, 2), (1, 3), (1, 5), seed=1)
-        with Tape() as tape:
-            firsts = [_dot(a, ad.constant(qa)), _dot(b, ad.constant(qb))]
-            c = ad.concat_cols(a, b)
-            tape.backward(_total(*firsts, _dot(c, ad.constant(p))))
-        assert np.array_equal(a.grad, p[:, :2] + qa)
-        assert np.array_equal(b.grad, p[:, 2:] + qb)
-        assert np.array_equal(c.grad, p)
-
     def test_split_cols_buffer_then_a_second_gradient(self):
         a = Matrix(self.arrays((2, 3))[0], requires_grad=True)
         q, pl = self.arrays((2, 3), (2, 1), seed=1)
@@ -305,12 +294,13 @@ def _random_points(rng, n, shape, lo=-2.0, hi=2.0):
 
 
 PRIMITIVE_CASES = [
-    "matmul", "add", "add_bias", "sub", "mul", "scale", "sigmoid", "tanh",
-    "exp", "softplus", "logsumexp", "softmax_log", "sum_rows",
-    "clamp", "concat_cols", "transpose", "l2_normalize_rows",
+    "matmul", "add", "add_bias", "sub", "mul", "scale", "add_scalar",
+    "sigmoid", "tanh", "exp", "softplus", "logsumexp", "softmax_log",
+    "sum_all", "sum_rows", "mean_all", "clamp", "transpose",
+    "l2_normalize_rows",
     "split_cols", "split_cols_left_only", "split_cols_right_only",
     "multinomial_log_lik", "bernoulli_log_lik",
-    "linear", "linear_one_row", "linear_csr", "linear_csr_tail",
+    "linear", "linear_one_row", "linear_tail", "linear_csr", "linear_csr_tail",
 ]
 
 
@@ -349,6 +339,9 @@ def test_primitive_gradients_at_100_random_points(name):
         elif name == "scale":
             f = lambda: ad.sum_all(ad.mul(ad.scale(x, -1.7), probe))
             params = [x]
+        elif name == "add_scalar":
+            f = lambda: ad.sum_all(ad.mul(ad.add_scalar(x, 0.8), probe))
+            params = [x]
         elif name == "sigmoid":
             f = lambda: ad.sum_all(ad.mul(ad.sigmoid(x), probe))
             params = [x]
@@ -367,16 +360,16 @@ def test_primitive_gradients_at_100_random_points(name):
         elif name == "softmax_log":
             f = lambda: ad.sum_all(ad.mul(ad.softmax_log(x), probe))
             params = [x]
+        elif name in ("sum_all", "mean_all"):
+            # The reduction of x * x, whose gradient depends on the point.
+            f = lambda: getattr(ad, name)(ad.mul(x, x))
+            params = [x]
         elif name == "sum_rows":
             f = lambda: ad.sum_all(ad.mul(ad.sum_rows(x), ad.constant([[0.7], [-0.3]])))
             params = [x]
         elif name == "clamp":
             f = lambda: ad.sum_all(ad.mul(ad.clamp(x, -1.5, 1.5), probe))
             params = [x]
-        elif name == "concat_cols":
-            f = lambda: ad.sum_all(ad.mul(ad.concat_cols(x, w),
-                                          ad.constant(np.ones((2, 6)))))
-            params = [x, w]
         elif name == "transpose":
             f = lambda: ad.sum_all(ad.mul(ad.transpose(x), ad.constant(np.ones((3, 2)))))
             params = [x]
@@ -404,6 +397,12 @@ def test_primitive_gradients_at_100_random_points(name):
             probe_h = ad.constant(rng.uniform(-1, 1, size=(h.rows, 2)))
             f = lambda: ad.sum_all(ad.mul(ad.tanh(ad.linear(h, k, c)), probe_h))
             params = [h, k, c]
+        elif name == "linear_tail":
+            # [the point | a 2 x 2 dense tail] @ (5, 3) + (1, 3).
+            tail = Matrix(rng.uniform(-1, 1, size=(2, 2)), requires_grad=True)
+            wt = Matrix(rng.uniform(-1, 1, size=(5, 3)), requires_grad=True)
+            f = lambda: ad.sum_all(ad.mul(ad.tanh(ad.linear(x, wt, b, tail)), probe))
+            params = [x, tail, wt, b]
         elif name == "linear_csr":
             # A 2 x 2 CSR batch (row 0 empty) times the point as its weight.
             batch = _random_csr(rng, 2, 2, density=0.6)[0]
@@ -435,6 +434,7 @@ RECORDING_CASES = {
     "matmul": (ad.matmul, [(2, 3), (3, 2)]),
     "linear": (ad.linear, [(2, 3), (3, 2), (1, 2)]),
     "linear_one_row": (ad.linear, [(1, 3), (3, 2), (1, 2)]),
+    "linear_tail": (ad.linear, [(2, 3), (5, 2), (1, 2), (2, 2)]),
     "linear_csr": (lambda w, b: ad.linear(_csr_2x3(), w, b), [(3, 2), (1, 2)]),
     "linear_csr_tail": (lambda w, b, t: ad.linear(_csr_2x3(), w, b, t),
                         [(5, 2), (1, 2), (2, 2)]),
@@ -457,7 +457,6 @@ RECORDING_CASES = {
     "logsumexp": (ad.logsumexp, [(2, 3)]),
     "softmax_log": (ad.softmax_log, [(2, 3)]),
     "l2_normalize_rows": (ad.l2_normalize_rows, [(2, 3)]),
-    "concat_cols": (ad.concat_cols, [(2, 3), (2, 1)]),
     "split_cols": (lambda a: ad.split_cols(a, 1), [(2, 3)]),
     "multinomial_log_lik": (lambda a: ad.multinomial_log_lik(a, _csr_2x3()),
                             [(2, 3)]),
@@ -466,11 +465,20 @@ RECORDING_CASES = {
 }
 
 
-def test_recording_cases_cover_every_primitive():
+def _public_primitives():
     public = {name for name, fn in vars(ad).items()
               if inspect.isfunction(fn) and fn.__module__ == ad.__name__
               and not name.startswith("_")}
-    assert public - {"constant", "grad_check"} <= set(RECORDING_CASES)
+    return public - {"constant", "grad_check"}
+
+
+def test_recording_cases_cover_every_primitive():
+    assert _public_primitives() <= set(RECORDING_CASES)
+
+
+def test_primitive_cases_cover_every_primitive():
+    """A primitive added without a gradient-check case fails here."""
+    assert _public_primitives() <= set(PRIMITIVE_CASES)
 
 
 @pytest.mark.parametrize("name", list(RECORDING_CASES))
@@ -491,13 +499,13 @@ def test_recording_rule(name):
         assert all(o.requires_grad is recorded for o in outs)
 
 
-def test_split_cols_inverts_concat_cols():
+def test_split_cols_halves_are_views_that_rejoin():
     x = Matrix(np.arange(12.0).reshape(3, 4))
     left, right = ad.split_cols(x, 3)
     np.testing.assert_array_equal(left.data, x.data[:, :3])
     np.testing.assert_array_equal(right.data, x.data[:, 3:])
     assert np.shares_memory(left.data, x.data) and np.shares_memory(right.data, x.data)
-    np.testing.assert_array_equal(ad.concat_cols(left, right).data, x.data)
+    np.testing.assert_array_equal(np.concatenate([left.data, right.data], axis=1), x.data)
 
 
 @pytest.mark.parametrize("k", [0, 4, -1])
@@ -576,15 +584,15 @@ class TestSparseMatmul:
         b = Matrix(np.zeros((1, 2)))
         with pytest.raises(ShapeError):
             ad.linear(x, Matrix(np.zeros((9, 2))), b)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"\(3, 8\) \| \(2, 2\) x"):
             ad.linear(x, Matrix(np.zeros((10, 2))), b, Matrix(np.zeros((2, 2))))
         with pytest.raises(ShapeError):
             ad.linear(x, Matrix(np.zeros((8, 2))), Matrix(np.zeros((1, 3))))
         with pytest.raises(ShapeError):
             ad.linear(x, Matrix(np.zeros((8, 2))), Matrix(np.zeros((3, 2))))
-        with pytest.raises(ShapeError):  # a tail needs a CSR x
+        with pytest.raises(ShapeError, match=r"\(3, 8\) \| \(2, 2\) x"):
             ad.linear(Matrix(dense), Matrix(np.zeros((10, 2))), b,
-                      Matrix(np.zeros((3, 2))))
+                      Matrix(np.zeros((2, 2))))
 
 
 @pytest.mark.parametrize("rows", [1, 4])

@@ -1,15 +1,22 @@
 """Config loading: the [model]/[train] keys are the ModelConfig and
 TrainConfig fields, parse errors are usage errors (exit 1), and the shipped
-configs load to the values the README documents."""
+configs load to the values the README documents. Every library entry point
+rejects a non-integer where an integer setting goes."""
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vampcf.cli import main
 from vampcf.config import load_config
+from vampcf.data import split
 from vampcf.errors import ConfigError
+from vampcf.gridcheck import check_cell
+from vampcf.metrics import evaluate
 from vampcf.model import ModelConfig
+from vampcf.synthetic import archetype_interactions
 from vampcf.training import TrainConfig
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -132,3 +139,45 @@ def test_default_section_is_unknown(tmp_path, text):
 def test_default_section_override_exits_1(capsys):
     assert main(["train", "--set", "DEFAULT.seed=1", "--data", "split"]) == 1
     assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
+
+# Every library entry point that takes an integer setting, called with the
+# setting set to the test's value and every other argument valid.
+def _model(name, value):
+    return ModelConfig(**{"n_items": 10, name: value})
+
+
+def _train(name, value):
+    return TrainConfig(**{name: value})
+
+
+def _synthetic(name, value):
+    return archetype_interactions(**{name: value})
+
+
+INTEGER_SETTINGS = {
+    **{f"ModelConfig.{name}": partial(_model, name)
+       for name in ("n_items", "depth", "hidden", "d_z1", "d_z2", "n_pseudo")},
+    **{f"TrainConfig.{name}": partial(_train, name)
+       for name in ("batch_size", "max_epochs", "patience", "seed", "anneal_steps")},
+    "split.n_heldout_users": lambda v: split([], v),
+    "split.seed": lambda v: split([], 2, seed=v),
+    **{f"archetype_interactions.{name}": partial(_synthetic, name)
+       for name in ("n_users", "n_items", "n_archetypes", "seed", "min_items",
+                    "max_items")},
+    "check_cell.seed": lambda v: check_cell({}, seed=v),
+    "evaluate.K": lambda v: evaluate([], np.zeros(3), ks=[20, v]),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("entry", list(INTEGER_SETTINGS))
+def test_integer_settings_reject_a_non_integer(entry, value):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        INTEGER_SETTINGS[entry](value)
+
+
+def test_integer_settings_take_a_numpy_integer_as_an_int():
+    cfg = TrainConfig(batch_size=np.int64(32), seed=np.uint8(3))
+    assert (cfg.batch_size, cfg.seed) == (32, 3)
+    assert type(cfg.batch_size) is int and type(cfg.seed) is int
