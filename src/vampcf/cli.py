@@ -72,8 +72,7 @@ def cmd_synthetic(args):
 def cmd_prepare(args):
     data = ingest(args.ratings, min_rating=args.min_rating,
                   min_items=args.min_items)
-    ds = split(data, n_heldout_users=args.heldout_users,
-               fold_in_fraction=args.fold_in_fraction, seed=args.seed)
+    ds = split(data, n_heldout_users=args.heldout_users, seed=args.seed)
     out = args.out.rstrip("/")
 
     def write(tmp):
@@ -219,7 +218,6 @@ def build_parser():
     sp.add_argument("--min-rating", type=float, default=4.0)
     sp.add_argument("--min-items", type=int, default=5)
     sp.add_argument("--heldout-users", type=int, required=True)
-    sp.add_argument("--fold-in-fraction", type=float, default=0.8)
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True, help="split directory to create")
     sp.set_defaults(func=cmd_prepare)

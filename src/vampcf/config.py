@@ -25,18 +25,9 @@ def _bool(raw):
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _auto_int(raw):
-    v = raw.strip().lower()
-    if v in ("auto", "none", ""):
-        return None
-    return int(v)
-
-
 def _parser(annotation):
     if annotation is bool:
         return _bool
-    if annotation == int | None:
-        return _auto_int
     return lambda raw: annotation(raw.strip())
 
 

@@ -21,7 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Matrix
-from .errors import ConfigError, DataError, ShapeError, check_int
+from .errors import ConfigError, DataError, ShapeError, check_float, check_int
+
+# The Mult-VAE protocol's split of each heldout user's items: 80% fold-in.
+FOLD_IN_FRACTION = 0.8
 
 
 @dataclass
@@ -98,6 +101,8 @@ def ingest(path, min_rating=4.0, min_items=5):
     a list of (user_id, tuple_of_item_ids) sorted by user_id, items sorted
     within each user.
     """
+    min_rating = check_float("min_rating", min_rating)
+    min_items = check_int("min_items", min_items, 1)
     by_user = {}
     for user_id, item_id, rating in parse_ratings(path):
         if rating >= min_rating:
@@ -111,19 +116,17 @@ def ingest(path, min_rating=4.0, min_items=5):
     return result
 
 
-def split(data, n_heldout_users, fold_in_fraction=0.8, seed=0):
+def split(data, n_heldout_users, seed=0):
     """Partition users into train/validation/test and fold each heldout user.
 
     Samples ``n_heldout_users`` users uniformly for validation and the same
     number for test; everyone else trains. The item vocabulary comes from
     training users only. For each heldout user, items outside the vocabulary
-    are dropped, then ceil(fold_in_fraction * n) of the rest are sampled
+    are dropped, then ceil(FOLD_IN_FRACTION * n) of the rest are sampled
     without replacement as the fold-in part and the remainder is heldout.
     Users left without a usable fold-in or with an empty heldout part are
     discarded and counted in the diagnostics. Deterministic given the seed.
     """
-    if not 0.0 < fold_in_fraction < 1.0:
-        raise ConfigError(f"fold_in_fraction must be in (0, 1), got {fold_in_fraction}")
     n_heldout_users = check_int("n_heldout_users", n_heldout_users, 1)
     seed = check_int("seed", seed, 0)
     data = sorted(data)
@@ -157,7 +160,7 @@ def split(data, n_heldout_users, fold_in_fraction=0.8, seed=0):
                 diagnostics[diag_key] += 1
                 continue
             order = rng.permutation(idx.size)
-            n_fold = math.ceil(fold_in_fraction * idx.size)
+            n_fold = math.ceil(FOLD_IN_FRACTION * idx.size)
             heldout = np.sort(idx[order[n_fold:]])
             if heldout.size == 0:
                 diagnostics[diag_key] += 1
@@ -176,7 +179,7 @@ def split(data, n_heldout_users, fold_in_fraction=0.8, seed=0):
         test_users=test_users,
         seed=seed,
         params={"n_heldout_users": n_heldout_users,
-                "fold_in_fraction": fold_in_fraction},
+                "fold_in_fraction": FOLD_IN_FRACTION},
         diagnostics=diagnostics,
     )
 

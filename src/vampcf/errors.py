@@ -34,3 +34,11 @@ def check_int(name, value, low):
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def check_float(name, value):
+    """``value`` as a ``float``, or a ``ConfigError`` unless it is a real
+    number (a numpy one counts, a bool or a string does not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)

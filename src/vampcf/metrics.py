@@ -157,6 +157,9 @@ def _make_scorer(scorer, n_items):
             raise ConfigError(f"model expects {m} items, split has {n_items}")
         return m, lambda x: score_items(x, scorer).data
     if isinstance(scorer, np.ndarray):
+        if not (scorer.ndim == 1 or scorer.ndim == 2 and scorer.shape[0] == 1):
+            raise ConfigError(f"a score vector has shape (n,) or (1, n), "
+                              f"got {scorer.shape}")
         vec = np.asarray(scorer, dtype=np.float64).ravel()
         if n_items is not None and n_items != vec.size:
             raise ConfigError(f"score vector has {vec.size} items, split has {n_items}")

@@ -16,7 +16,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,11 +25,14 @@ from . import kernels
 from .autodiff import Tape
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import CSRMatrix
-from .errors import ConfigError, DataError, NumericalError, check_int
+from .errors import ConfigError, DataError, NumericalError, check_float, check_int
 from .metrics import METRIC_NAMES, evaluate
 from .model import elbo, init_params
 
-ANNEAL_EPOCHS_DEFAULT = 20
+# The Mult-VAE protocol: beta warms up linearly over the first 20 epochs
+# of steps, and half of each training batch's input entries are dropped.
+ANNEAL_EPOCHS = 20
+DROPOUT_RATE = 0.5
 
 ADAM_CONSTANTS = (0.9, 0.999, 1e-8)  # Adam's beta1, beta2 and eps
 
@@ -44,25 +47,21 @@ class TrainConfig:
     max_epochs: int = 50
     learning_rate: float = 1e-3
     beta_cap: float = 0.2
-    anneal_steps: int | None = None  # None: warm up over the first 20 epochs
-    dropout_rate: float = 0.5
     patience: int = 5
     seed: int = 0
     eval_metric: str = "ndcg@100"
 
     def __post_init__(self):
+        self.beta_cap = check_float("beta_cap", self.beta_cap)
         if not 0.0 <= self.beta_cap <= 1.0:
             raise ConfigError(f"beta_cap must be in [0, 1], got {self.beta_cap}")
         for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 0),
                           ("seed", 0)):
             setattr(self, name, check_int(name, getattr(self, name), low))
-        if self.anneal_steps is not None:
-            self.anneal_steps = check_int("anneal_steps", self.anneal_steps, 1)
+        self.learning_rate = check_float("learning_rate", self.learning_rate)
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must be in [0, 1)")
         parse_metric(self.eval_metric)
 
     def to_dict(self):
@@ -71,20 +70,17 @@ class TrainConfig:
 
 def parse_metric(spec):
     """'ndcg@100' -> ('ndcg', 100)."""
-    name, _, k = spec.lower().partition("@")
+    name, _, k = spec.lower().partition("@") if isinstance(spec, str) else ("", "", "")
     if name not in METRIC_NAMES or not k.isdigit() or int(k) < 1:
         raise ConfigError(f"eval_metric must look like 'ndcg@100', got {spec!r}")
     return name, int(k)
 
 
-def beta_at(step, cfg):
+def beta_at(step, beta_cap, anneal_steps):
     """Linear warm-up: min(beta_cap, beta_cap * step / anneal_steps)."""
     if step < 0:
         raise ConfigError("step must be >= 0")
-    if cfg.anneal_steps is None:
-        raise ConfigError("anneal_steps is unresolved; derive it from the "
-                          "dataset before calling beta_at")
-    return min(cfg.beta_cap, cfg.beta_cap * step / cfg.anneal_steps)
+    return min(beta_cap, beta_cap * step / anneal_steps)
 
 
 @dataclass
@@ -216,8 +212,7 @@ def train(split, model_cfg, cfg, progress=None):
     train_matrix = CSRMatrix.from_vectors(split.train_users, split.n_items)
 
     steps_per_epoch = math.ceil(n / cfg.batch_size)
-    if cfg.anneal_steps is None:
-        cfg = replace(cfg, anneal_steps=ANNEAL_EPOCHS_DEFAULT * steps_per_epoch)
+    anneal_steps = ANNEAL_EPOCHS * steps_per_epoch
     metric_name, metric_k = parse_metric(cfg.eval_metric)
 
     rng = np.random.default_rng(cfg.seed)
@@ -239,8 +234,9 @@ def train(split, model_cfg, cfg, progress=None):
                 for rows in _batches(order, cfg.batch_size):
                     x = train_matrix.take_rows(rows)
                     with Tape() as tape:
-                        res = elbo(x, params, beta_at(step, cfg), rng=rng,
-                                   dropout_rate=cfg.dropout_rate)
+                        res = elbo(x, params,
+                                   beta_at(step, cfg.beta_cap, anneal_steps),
+                                   rng=rng, dropout_rate=DROPOUT_RATE)
                         loss = ad.scale(res.elbo, -1.0)
                         if not math.isfinite(loss.item()):
                             raise NumericalError(
@@ -263,7 +259,8 @@ def train(split, model_cfg, cfg, progress=None):
                 "epoch": epoch,
                 "mean_elbo": sums[0] / n, "mean_recon": sums[1] / n,
                 "mean_kl_z1": sums[2] / n, "mean_kl_z2": sums[3] / n,
-                "beta": beta_at(step, cfg), "val_metric": val,
+                "beta": beta_at(step, cfg.beta_cap, anneal_steps),
+                "val_metric": val,
                 "mean_grad_norm": grad_norm_sum / steps_per_epoch,
                 "wall_seconds": time.perf_counter() - t0,
             }

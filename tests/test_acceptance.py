@@ -26,8 +26,8 @@ from vampcf.synthetic import archetype_interactions, write_ratings_csv
 from vampcf.training import OptimizerState, TrainConfig, adam_step, train
 
 BENCH = dict(hidden=128, d_z1=32, d_z2=32, n_pseudo=50)
-BENCH_TRAIN = dict(batch_size=128, max_epochs=30, beta_cap=0.2,
-                   dropout_rate=0.5, patience=5, eval_metric="ndcg@10")
+BENCH_TRAIN = dict(batch_size=128, max_epochs=30, beta_cap=0.2, patience=5,
+                   eval_metric="ndcg@10")
 
 
 def verdict(capsys, line):
@@ -39,7 +39,7 @@ def verdict(capsys, line):
 def bench_split():
     data = archetype_interactions(n_users=1200, n_items=300, n_archetypes=3,
                                   seed=0)
-    ds = split(data, n_heldout_users=120, fold_in_fraction=0.8, seed=0)
+    ds = split(data, n_heldout_users=120, seed=0)
     pop = popularity_baseline(ds.train_users, ds.n_items)
     pop_ndcg = evaluate(ds.test_users, pop, ks=[10]).row("ndcg", 10).mean
     return ds, pop_ndcg
@@ -259,7 +259,7 @@ def test_7_relative_ordering_ten_seeds(capsys):
                                   seed=0)
     scores = {name: [] for name in models}
     for seed in range(10):
-        ds = split(data, n_heldout_users=120, fold_in_fraction=0.8, seed=seed)
+        ds = split(data, n_heldout_users=120, seed=seed)
         for name, kw in models.items():
             mc = ModelConfig(n_items=ds.n_items, likelihood="multinomial",
                              **BENCH, **kw)

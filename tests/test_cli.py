@@ -171,6 +171,13 @@ class TestPrepare:
         assert main(["prepare", "--heldout-users", "5", "--out", "x"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_min_items_below_one_exits_1(self, ratings_file, tmp_path, capsys):
+        code = main(["prepare", "--ratings", ratings_file, "--heldout-users",
+                     "15", "--min-items", "0", "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "min_items must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, trained_run, split_dir):
@@ -249,8 +256,10 @@ class TestTrain:
         assert "beta_cap" in err and "[0, 1]" in err
 
     def test_unknown_config_key_exits_1(self, split_dir, tmp_path, capsys):
-        # min_rating is a prepare flag, not a config key.
-        for override in ("model.widgets=3", "train.min_rating=1"):
+        # min_rating is a prepare flag, not a config key; the warm-up length
+        # and the dropout rate are training constants.
+        for override in ("model.widgets=3", "train.min_rating=1",
+                         "train.anneal_steps=auto", "train.dropout_rate=0.5"):
             code = main(["train", "--data", split_dir, "--out",
                          str(tmp_path / "r"), "--set", override])
             assert code == 1

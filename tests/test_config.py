@@ -1,7 +1,8 @@
 """Config loading: the [model]/[train] keys are the ModelConfig and
 TrainConfig fields, parse errors are usage errors (exit 1), and the shipped
 configs load to the values the README documents. Every library entry point
-rejects a non-integer where an integer setting goes."""
+rejects a non-integer where an integer setting goes, and a non-number where
+a float setting goes."""
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from vampcf.cli import main
 from vampcf.config import load_config
-from vampcf.data import split
+from vampcf.data import ingest, split
 from vampcf.errors import ConfigError
 from vampcf.gridcheck import check_cell
 from vampcf.metrics import evaluate
@@ -39,8 +40,6 @@ TRAIN_VALUES = {
     "max_epochs": ("3", 3),
     "learning_rate": ("0.01", 0.01),
     "beta_cap": ("0.5", 0.5),
-    "anneal_steps": ("40", 40),
-    "dropout_rate": ("0.25", 0.25),
     "patience": ("2", 2),
     "seed": ("9", 9),
     "eval_metric": ("recall@20", "recall@20"),
@@ -93,8 +92,7 @@ def test_shipped_config_loads_to_the_documented_values(name):
     assert m.n_pseudo == 1000  # k = 1000 in the vamp configs, the default elsewhere
     assert (m.likelihood, m.hidden, m.d_z1, m.d_z2) == ("multinomial", 600, 200, 200)
     assert cfg.train == TrainConfig(
-        batch_size=256, learning_rate=1e-3, beta_cap=0.2, anneal_steps=None,
-        dropout_rate=0.5, eval_metric="ndcg@100")
+        batch_size=256, learning_rate=1e-3, beta_cap=0.2, eval_metric="ndcg@100")
 
 
 @pytest.mark.parametrize("text,what", [
@@ -159,7 +157,7 @@ INTEGER_SETTINGS = {
     **{f"ModelConfig.{name}": partial(_model, name)
        for name in ("n_items", "depth", "hidden", "d_z1", "d_z2", "n_pseudo")},
     **{f"TrainConfig.{name}": partial(_train, name)
-       for name in ("batch_size", "max_epochs", "patience", "seed", "anneal_steps")},
+       for name in ("batch_size", "max_epochs", "patience", "seed")},
     "split.n_heldout_users": lambda v: split([], v),
     "split.seed": lambda v: split([], 2, seed=v),
     **{f"archetype_interactions.{name}": partial(_synthetic, name)
@@ -167,6 +165,8 @@ INTEGER_SETTINGS = {
                     "max_items")},
     "check_cell.seed": lambda v: check_cell({}, seed=v),
     "evaluate.K": lambda v: evaluate([], np.zeros(3), ks=[20, v]),
+    # ingest checks its settings before it opens the file.
+    "ingest.min_items": lambda v: ingest("unread.csv", min_items=v),
 }
 
 
@@ -181,3 +181,23 @@ def test_integer_settings_take_a_numpy_integer_as_an_int():
     cfg = TrainConfig(batch_size=np.int64(32), seed=np.uint8(3))
     assert (cfg.batch_size, cfg.seed) == (32, 3)
     assert type(cfg.batch_size) is int and type(cfg.seed) is int
+
+
+FLOAT_SETTINGS = {
+    **{f"TrainConfig.{name}": partial(_train, name)
+       for name in ("learning_rate", "beta_cap")},
+    "ingest.min_rating": lambda v: ingest("unread.csv", min_rating=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.1", None], ids=["bool", "str", "none"])
+@pytest.mark.parametrize("entry", list(FLOAT_SETTINGS))
+def test_float_settings_reject_a_non_number(entry, value):
+    with pytest.raises(ConfigError, match="must be a number"):
+        FLOAT_SETTINGS[entry](value)
+
+
+def test_float_settings_take_a_numpy_float_as_a_float():
+    cfg = TrainConfig(learning_rate=np.float32(0.5), beta_cap=np.float32(0.5))
+    assert (cfg.learning_rate, cfg.beta_cap) == (0.5, 0.5)
+    assert type(cfg.learning_rate) is float and type(cfg.beta_cap) is float

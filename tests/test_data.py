@@ -139,7 +139,7 @@ def unique_histories(n_users=100, pool=60, seed=5):
 class TestSplit:
     def test_fold_in_count_uses_ceiling(self):
         data = unique_histories(30)
-        ds = split(data, n_heldout_users=5, fold_in_fraction=0.8, seed=0)
+        ds = split(data, n_heldout_users=5, seed=0)
         for fold_in, heldout in ds.validation_users + ds.test_users:
             n = fold_in.item_indices.size + heldout.item_indices.size
             assert fold_in.item_indices.size == math.ceil(0.8 * n)
@@ -147,14 +147,14 @@ class TestSplit:
     def test_ten_items_gives_eight_two(self):
         data = [(f"u{i}", tuple(f"i{j}" for j in range(10))) for i in range(20)]
         # identical histories are fine for this count check
-        ds = split(data, n_heldout_users=3, fold_in_fraction=0.8, seed=1)
+        ds = split(data, n_heldout_users=3, seed=1)
         for fold_in, heldout in ds.validation_users + ds.test_users:
             assert fold_in.item_indices.size == 8
             assert heldout.item_indices.size == 2
 
     def test_partition_counts_and_disjoint_owners(self):
         data = unique_histories(100)
-        ds = split(data, n_heldout_users=10, fold_in_fraction=0.8, seed=2)
+        ds = split(data, n_heldout_users=10, seed=2)
         assert len(ds.vocab) == 60  # every pool item appears in training
         assert len(ds.train_users) == 80
         assert len(ds.validation_users) == 10
@@ -183,7 +183,7 @@ class TestSplit:
 
     def test_fold_in_and_heldout_partition_each_history(self):
         data = unique_histories(40)
-        ds = split(data, n_heldout_users=6, fold_in_fraction=0.8, seed=3)
+        ds = split(data, n_heldout_users=6, seed=3)
         vocab = np.array(ds.vocab)
         in_vocab = {items: tuple(sorted(i for i in items if i in set(ds.vocab)))
                     for _, items in data}
@@ -206,7 +206,7 @@ class TestSplit:
         # half the users hold one unique item: fold-in takes it, heldout empty
         data = unique_histories(20)
         data += [(f"loner{i}", (f"item{i:02d}",)) for i in range(20)]
-        ds = split(data, n_heldout_users=10, fold_in_fraction=0.8, seed=6)
+        ds = split(data, n_heldout_users=10, seed=6)
         discarded = ds.diagnostics["discarded_validation"]
         assert len(ds.validation_users) + discarded == 10
         assert len(ds.test_users) + ds.diagnostics["discarded_test"] == 10
@@ -227,12 +227,6 @@ class TestSplit:
         data = unique_histories(10)
         with pytest.raises(ConfigError):
             split(data, n_heldout_users=5, seed=0)
-
-    def test_fold_fraction_bounds(self):
-        data = unique_histories(10)
-        for frac in (0.0, 1.0, -0.2):
-            with pytest.raises(ConfigError):
-                split(data, n_heldout_users=2, fold_in_fraction=frac, seed=0)
 
     def test_negative_seed_is_a_config_error(self):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):

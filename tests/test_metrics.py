@@ -449,6 +449,18 @@ class TestBatchedEvaluate:
         evaluate(users, vec, ks=[4])
         assert np.array_equal(vec, scores[0])
 
+    def test_score_array_must_be_one_row(self):
+        # Ravelled, the two-row array would rank 8 "items" for 2 users.
+        users = [(iv([0]), iv([1, 3])), (iv([2]), iv([3]))]
+        vec = np.arange(4.0)
+        ndcg = evaluate(users, vec, ks=[2]).row("ndcg", 2).mean
+        assert evaluate(users, vec[None], ks=[2]).row("ndcg", 2).mean == ndcg
+        for bad, shape in [(np.tile(vec, (2, 1)), r"\(2, 4\)"),
+                           (vec[:, None], r"\(4, 1\)"),
+                           (vec.reshape(1, 2, 2), r"\(1, 2, 2\)")]:
+            with pytest.raises(ConfigError, match=f"got {shape}"):
+                evaluate(users, bad, ks=[2])
+
     def test_overlap_rejected(self):
         users = [(iv([0, 1]), iv([2])), (iv([1, 3]), iv([3, 4]))]
         with pytest.raises(DataError, match="user 1"):
