@@ -356,8 +356,8 @@ def _read_pairs_csv(path, n_items):
         next(reader, None)  # header
         for row in reader:
             try:
-                user, item = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
+                user, item = map(int, row)
+            except ValueError:
                 raise DataError(f"{path}: line {reader.line_num}: expected two integers "
                                 f"user_index,item_index, got {row!r}") from None
             if not 0 <= item < n_items:
@@ -384,7 +384,7 @@ def read_vocab(split_dir):
         next(reader, None)  # header
         for row in reader:
             where = f"{path}: line {reader.line_num}: "
-            if len(row) < 2:
+            if len(row) != 2:
                 raise DataError(f"{where}expected index,item_id, got {row!r}")
             if row[0] != str(len(vocab)):
                 raise DataError(f"{where}expected index {len(vocab)}, got {row[0]!r}")

@@ -3,6 +3,7 @@
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericalError -> 3.
 """
+import math
 import numbers
 
 
@@ -37,8 +38,10 @@ def check_int(name, value, low):
 
 
 def check_float(name, value):
-    """``value`` as a ``float``, or a ``ConfigError`` unless it is a real
-    number (a numpy one counts, a bool or a string does not)."""
+    """``value`` as a ``float``, or a ``ConfigError`` unless it is a finite
+    real number (a numpy one counts, a bool or a string does not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
     return float(value)

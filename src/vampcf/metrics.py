@@ -14,7 +14,7 @@ import numpy as np
 
 # Only perfbench's tracer reads ``metrics.to_dense_batch``; this import goes
 # with ROADMAP item 1, when the tracer patches names where they are defined.
-from .data import CSRMatrix, to_dense_batch  # noqa: F401
+from .data import CSRMatrix, _check_item_range, to_dense_batch  # noqa: F401
 from .errors import ConfigError, DataError, NumericalError, check_int
 from .model import ModelParams, score_items
 
@@ -27,19 +27,27 @@ METRIC_NAMES = ("ndcg", "recall")
 RANK_BLOCK_ROWS = 256
 
 
+def _score_vector(scores):
+    """One user's scores, of shape (n,) or (1, n), as a float64 vector."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not (scores.ndim == 1 or scores.ndim == 2 and scores.shape[0] == 1):
+        raise ConfigError(f"a score vector has shape (n,) or (1, n), "
+                          f"got {scores.shape}")
+    return scores.ravel()
+
+
 def ranked_candidates(scores, mask):
     """All unmasked item indices, best score first, index tie-break.
 
     Only unmasked indices are ranked, so a masked item never appears
-    whatever the scores are; NaN scores rank last.
+    whatever the scores are; NaN scores rank last. A mask index outside
+    the scores is a ``DataError``.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
+    s = _score_vector(scores)
     mask = np.fromiter(mask, dtype=np.int64)
+    _check_item_range(mask, s.size)
     keep = np.ones(s.size, dtype=bool)
-    if mask.size:
-        if mask.min() < 0 or mask.max() >= s.size:
-            raise ConfigError("mask index out of range")
-        keep[mask] = False
+    keep[mask] = False
     candidates = np.flatnonzero(keep)
     return candidates[np.lexsort((candidates, -s[candidates]))]
 
@@ -47,6 +55,10 @@ def ranked_candidates(scores, mask):
 def _check_inputs(scores, heldout, mask, k):
     check_int("K", k, 1)
     heldout = np.asarray(sorted(heldout), dtype=np.int64)
+    _check_item_range(heldout, _score_vector(scores).size)
+    twice = heldout[1:][heldout[1:] == heldout[:-1]]
+    if twice.size:
+        raise DataError(f"heldout item {int(twice[0])} listed twice")
     mask_set = set(int(i) for i in mask)
     if any(int(i) in mask_set for i in heldout):
         raise DataError("heldout and mask overlap")
@@ -157,10 +169,7 @@ def _make_scorer(scorer, n_items):
             raise ConfigError(f"model expects {m} items, split has {n_items}")
         return m, lambda x: score_items(x, scorer).data
     if isinstance(scorer, np.ndarray):
-        if not (scorer.ndim == 1 or scorer.ndim == 2 and scorer.shape[0] == 1):
-            raise ConfigError(f"a score vector has shape (n,) or (1, n), "
-                              f"got {scorer.shape}")
-        vec = np.asarray(scorer, dtype=np.float64).ravel()
+        vec = _score_vector(scorer)
         if n_items is not None and n_items != vec.size:
             raise ConfigError(f"score vector has {vec.size} items, split has {n_items}")
         return vec.size, lambda x: np.broadcast_to(vec, (x.rows, vec.size))

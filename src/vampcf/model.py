@@ -11,10 +11,11 @@ Each input to the objective has one form. Interaction batches run as CSR
 rows at a user's items, and the likelihood reads the logits only at the
 batch's stored entries, so a training step never densifies the batch.
 ``as_batch`` is the one place where a dense ``Matrix`` batch becomes CSR,
-so both forms give the same scores bit for bit; the likelihood target and
-the training rows that seed the pseudo-inputs are CSR. Only a learnable
-dense input, the vamp pseudo-inputs, keeps the dense product, so that its
-gradient can flow. Every random draw comes from the caller's
+learnable or not, so both forms give the same scores bit for bit; the
+likelihood target and the training rows that seed the pseudo-inputs are
+CSR. The vamp pseudo-inputs are a dense parameter of the prior, not a
+batch: the prior normalises and encodes them with the dense product, so
+that their gradient flows. Every random draw comes from the caller's
 ``numpy.random.Generator``; a copy of the generator replays the same
 draws. Every Gaussian density and divergence goes through the general
 diagonal form, the standard normal being a zero-mean, zero-log-variance
@@ -165,11 +166,12 @@ def _empty(*shape):
     return Matrix(np.empty(shape), requires_grad=True)
 
 
-def _build_params(cfg, weight, bias):
-    """Every parameter but the pseudo-inputs, made by ``weight(fan_in,
-    fan_out, blocks)`` (a fan_in x blocks*fan_out weight) and ``bias(n)`` in
-    a fixed order (the order of the random draws in ``init_params``). A
-    gated trunk layer and a Gaussian head have two column blocks."""
+def _build_params(cfg, weight, bias, pseudo):
+    """Every parameter, made by ``weight(fan_in, fan_out, blocks)`` (a
+    fan_in x blocks*fan_out weight), ``bias(n)`` and, for a vamp prior after
+    every layer, ``pseudo(shape)`` in a fixed order (the order of the random
+    draws in ``init_params``). A gated trunk layer and a Gaussian head have
+    two column blocks."""
     gate = 2 if cfg.gated else 1
 
     def trunk(in_dim):
@@ -195,6 +197,8 @@ def _build_params(cfg, weight, bias):
         params.head_z1 = head(cfg.d_z1)
         params.prior_z1_net = trunk(cfg.d_z2)
         params.prior_z1_head = head(cfg.d_z1)
+    if cfg.prior == "vamp":
+        params.pseudo_inputs = pseudo((cfg.n_pseudo, cfg.n_items))
     return params
 
 
@@ -205,39 +209,31 @@ def init_params(config, rng, train_matrix=None):
     data-dependent pseudo-input initialization; without it pseudo-inputs
     start as small Gaussian noise.
     """
-    cfg = config
-    params = _build_params(cfg, partial(_glorot, rng), _zeros_row)
-    if cfg.prior == "vamp":
-        shape = (cfg.n_pseudo, cfg.n_items)
+    def pseudo(shape):
         if train_matrix is None:
             base = rng.normal(0.0, PSEUDO_NOISE, size=shape)
         else:
             n = train_matrix.shape[0]
-            rows = rng.choice(n, size=cfg.n_pseudo, replace=cfg.n_pseudo > n)
+            rows = rng.choice(n, size=shape[0], replace=shape[0] > n)
             base = train_matrix.take_rows(rows).toarray()
             base += rng.normal(0.0, PSEUDO_NOISE, size=shape)
-        params.pseudo_inputs = Matrix(base, requires_grad=True)
-    return params
+        return Matrix(base, requires_grad=True)
+
+    return _build_params(config, partial(_glorot, rng), _zeros_row, pseudo)
 
 
 def param_shapes(config):
     """{name: shape} of every parameter ``config`` implies, in
     ``named_parameters`` order, with nothing allocated."""
-    params = _build_params(config, lambda rows, cols, blocks: (rows, blocks * cols),
-                           lambda n: (1, n))
-    if config.prior == "vamp":
-        params.pseudo_inputs = (config.n_pseudo, config.n_items)
-    return params.named_parameters()
+    return _build_params(config, lambda rows, cols, blocks: (rows, blocks * cols),
+                         lambda n: (1, n), lambda shape: shape).named_parameters()
 
 
 def empty_params(config):
     """Parameters of every shape ``config`` implies, with uninitialised
     storage: for a caller that overwrites or replaces every array."""
-    params = _build_params(config, lambda rows, cols, blocks: _empty(rows, blocks * cols),
-                           partial(_empty, 1))
-    if config.prior == "vamp":
-        params.pseudo_inputs = _empty(config.n_pseudo, config.n_items)
-    return params
+    return _build_params(config, lambda rows, cols, blocks: _empty(rows, blocks * cols),
+                         partial(_empty, 1), lambda shape: _empty(*shape))
 
 
 # ---------------------------------------------------------------------------
@@ -270,31 +266,26 @@ def _run_head(h, p):
 
 
 def as_batch(x):
-    """An interaction batch as CSR. A ``CSRMatrix`` and a learnable dense
-    ``Matrix`` (the pseudo-inputs) pass through unchanged."""
-    if isinstance(x, CSRMatrix) or x.requires_grad:
+    """An interaction batch as CSR: a ``CSRMatrix`` passes through, and any
+    dense ``Matrix``, learnable or not, becomes CSR."""
+    if isinstance(x, CSRMatrix):
         return x
     return CSRMatrix.from_dense(x)
 
 
 def prepare_input(x, dropout_rate=0.0, rng=None):
-    """L2-normalize each row, then, when ``dropout_rate > 0``, drop entries
-    at random, rescaling survivors by 1/(1-rate). All-zero rows pass
-    through.
+    """L2-normalize each row of an interaction batch, then, when
+    ``dropout_rate > 0``, drop entries at random, rescaling survivors by
+    1/(1-rate). All-zero rows pass through.
 
-    A CSR batch keeps its pattern: only its stored values are scaled, and
-    the dropout draws one uniform per stored value. A learnable dense input
-    is only normalized; it takes no dropout.
+    The batch runs as CSR (see ``as_batch``) and keeps its pattern: only its
+    stored values are scaled, and the dropout draws one uniform per stored
+    value.
     """
     dropout = dropout_rate > 0.0
     if dropout and rng is None:
         raise ConfigError("dropout needs an rng")
     x = as_batch(x)
-    if isinstance(x, Matrix):
-        if dropout:
-            raise ConfigError("dropout applies to interaction batches, "
-                              "not to a learnable dense input")
-        return ad.l2_normalize_rows(x)
     row = x.row_ids()
     sq = np.bincount(row, weights=x.data * x.data, minlength=x.rows)
     inv = np.where(sq > 0.0, 1.0 / np.sqrt(np.where(sq > 0.0, sq, 1.0)), 1.0)
@@ -420,12 +411,10 @@ def vamp_log_density(z, params):
 
 
 def _vamp_components(params):
-    """The K mixture components: the encoded pseudo-inputs."""
+    """The K mixture components: the row-normalised pseudo-inputs, encoded."""
     if params.config.prior != "vamp":
         raise ConfigError("vamp_log_density requires a vamp-prior model")
-    if params.pseudo_inputs is None or params.pseudo_inputs.rows < 1:
-        raise ConfigError("vamp prior has no pseudo-inputs")
-    return encode_z2(params.pseudo_inputs, params)
+    return _encode_z2_prepared(ad.l2_normalize_rows(params.pseudo_inputs), params)
 
 
 def _mixture_log_density(zv, comp):

@@ -178,6 +178,13 @@ class TestPrepare:
         assert "min_items must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_non_finite_min_rating_exits_1(self, ratings_file, tmp_path, capsys):
+        code = main(["prepare", "--ratings", ratings_file, "--heldout-users",
+                     "15", "--min-rating", "nan", "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "min_rating must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, trained_run, split_dir):

@@ -197,6 +197,14 @@ def test_float_settings_reject_a_non_number(entry, value):
         FLOAT_SETTINGS[entry](value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.float32("nan")],
+                         ids=["nan", "inf", "-inf", "float32-nan"])
+@pytest.mark.parametrize("entry", list(FLOAT_SETTINGS))
+def test_float_settings_reject_a_non_finite_number(entry, value):
+    with pytest.raises(ConfigError, match="must be finite, got"):
+        FLOAT_SETTINGS[entry](value)
+
+
 def test_float_settings_take_a_numpy_float_as_a_float():
     cfg = TrainConfig(learning_rate=np.float32(0.5), beta_cap=np.float32(0.5))
     assert (cfg.learning_rate, cfg.beta_cap) == (0.5, 0.5)

@@ -419,6 +419,17 @@ class TestSplitArtifact:
                                             f"users but test_te.csv lists {last}"):
             load_split(str(out))
 
+    @pytest.mark.parametrize("name", ["train.csv", "test_tr.csv", "vocab.csv"])
+    def test_row_with_an_extra_field_rejected(self, tmp_path, name):
+        # The first two fields alone are a valid row.
+        out = self.saved_split(tmp_path)
+        path = out / name
+        lines = path.read_text().splitlines()
+        lines[1] += ",junk"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"{name}: line 2: expected .*'junk'"):
+            load_split(str(out))
+
     def test_short_vocab_row_rejected(self, tmp_path):
         out = self.saved_split(tmp_path)
         path = out / "vocab.csv"

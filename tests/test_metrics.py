@@ -112,6 +112,34 @@ class TestRankingRules:
         with pytest.raises(DataError):
             ndcg_at_k([1.0, 2.0, 3.0], heldout={0, 1}, mask={1}, k=2)
 
+    def test_scores_must_be_one_row(self):
+        # Ravelled, the two-row array would rank 8 "items", as evaluate's
+        # test_score_array_must_be_one_row shows for the batched side.
+        vec = np.arange(4.0)
+        assert list(ranked_candidates(vec[None], [])) == [3, 2, 1, 0]
+        for bad, shape in [(np.tile(vec, (2, 1)), r"\(2, 4\)"),
+                           (vec[:, None], r"\(4, 1\)")]:
+            with pytest.raises(ConfigError, match=f"got {shape}"):
+                ranked_candidates(bad, [])
+            with pytest.raises(ConfigError):
+                ndcg_at_k(bad, [0], [], 2)
+
+    def test_item_outside_the_scores_rejected(self):
+        scores = np.arange(4.0)
+        with pytest.raises(DataError, match="item index 9 out of range for 4 items"):
+            ndcg_at_k(scores, [9], [], 2)
+        with pytest.raises(DataError, match="item index -1 out of range"):
+            recall_at_k(scores, [0], [-1], 2)
+        with pytest.raises(DataError, match="item index 4 out of range"):
+            ranked_candidates(scores, [4])
+
+    def test_heldout_item_listed_twice_rejected(self):
+        # Counted twice, one relevant item ranked first would read 0.613.
+        with pytest.raises(DataError, match="heldout item 3 listed twice"):
+            ndcg_at_k(np.arange(4.0), [3, 3], [], 2)
+        with pytest.raises(DataError, match="listed twice"):
+            recall_at_k(np.arange(4.0), [3, 1, 3], [], 2)
+
     def test_bad_k_rejected(self):
         with pytest.raises(ConfigError):
             recall_at_k([1.0, 2.0], {0}, set(), 0)

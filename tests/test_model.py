@@ -719,14 +719,14 @@ class TestElboDecomposition:
         params = M.init_params(cfg, np.random.default_rng(63))
         x = mat(random_binary(np.random.default_rng(64), 4, 6))
         pseudo_rows = []
-        real = M.encode_z2
+        real = ad.l2_normalize_rows
 
         def counting(x_in, *args, **kwargs):
             if x_in is params.pseudo_inputs:
                 pseudo_rows.append(x_in.rows)
             return real(x_in, *args, **kwargs)
 
-        monkeypatch.setattr(M, "encode_z2", counting)
+        monkeypatch.setattr(ad, "l2_normalize_rows", counting)
         M.elbo_decomposition(x, params, n_mc=10, rng=np.random.default_rng(65))
         assert pseudo_rows == [3]
 
@@ -769,8 +769,8 @@ class TestFoldIn:
 
 
 class TestSparseInput:
-    """Interaction batches run as CSR; the dense route of a learnable input
-    (the pseudo-inputs' path) is the reference."""
+    """Interaction batches run as CSR; the dense composition that encodes the
+    pseudo-inputs is the reference."""
 
     @pytest.mark.parametrize("hierarchy", ["flat", "two_level"])
     def test_csr_and_dense_batches_score_bit_for_bit(self, hierarchy):
@@ -782,8 +782,25 @@ class TestSparseInput:
         a = M.score_items(csr, params).data
         b = M.score_items(mat(x), params).data
         assert np.array_equal(a, b)
-        dense_route = M.score_items(ad.Matrix(x, requires_grad=True), params).data
+        h = ad.l2_normalize_rows(mat(x))
+        z2 = M._encode_z2_prepared(h, params).mean
+        _, z1 = M._lower_latent(h, z2, params, lambda g: g.mean)
+        dense_route = M.decode(z1, z2, params).data
         np.testing.assert_allclose(a, dense_route, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("hierarchy", ["flat", "two_level"])
+    def test_learnable_dense_batch_is_an_interaction_batch(self, hierarchy):
+        cfg = tiny_cfg(prior="vamp", hierarchy=hierarchy, n_items=30)
+        params = M.init_params(cfg, np.random.default_rng(84))
+        x = random_binary(np.random.default_rng(85), 6, 30)
+        dense, sparse = ad.Matrix(x, requires_grad=True), CSRMatrix.from_dense(x)
+        got = M.elbo(dense, params, 0.5, np.random.default_rng(86), dropout_rate=0.5)
+        want = M.elbo(sparse, params, 0.5, np.random.default_rng(86), dropout_rate=0.5)
+        for field in ("elbo", "recon", "kl_z1", "kl_z2_ce"):
+            assert getattr(got, field).item() == getattr(want, field).item()
+        got = M.elbo_decomposition(dense, params, 4, np.random.default_rng(87))
+        want = M.elbo_decomposition(sparse, params, 4, np.random.default_rng(87))
+        assert got == want
 
     def test_prepare_input_scales_and_drops_only_stored_values(self):
         x = random_binary(np.random.default_rng(82), 5, 12)
@@ -798,11 +815,3 @@ class TestSparseInput:
         ev = M.prepare_input(csr)
         np.testing.assert_allclose(
             ev.toarray(), x / np.linalg.norm(x, axis=1, keepdims=True), rtol=1e-15)
-
-    def test_learnable_dense_input_takes_no_dropout(self):
-        x = ad.Matrix(np.ones((2, 6)), requires_grad=True)
-        with pytest.raises(ConfigError):
-            M.prepare_input(x, dropout_rate=0.5, rng=np.random.default_rng(0))
-        h = M.prepare_input(x)
-        np.testing.assert_allclose(h.data, np.full((2, 6), 1.0 / math.sqrt(6.0)),
-                                   rtol=1e-15)

@@ -1,7 +1,8 @@
 """Checks on the package source itself: runtime checks raise real errors,
-because `python -O` strips every `assert` statement, every name the
-benchmark reaches into the package for is still there, and the number of
-settable values is pinned."""
+because `python -O` strips every `assert` statement, only the autodiff
+module reads `requires_grad`, every name the benchmark reaches into the
+package for is still there, and the number of settable values is
+pinned."""
 import argparse
 import ast
 import importlib
@@ -21,6 +22,18 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_only_autodiff_reads_requires_grad():
+    """Whether a value is learnable is the tape's business: no other module
+    picks a code path by it. Passing ``requires_grad=True`` to the
+    ``Matrix`` constructor is a keyword, not a read, and stays allowed."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "autodiff.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "requires_grad"
+             and isinstance(node.ctx, ast.Load)]
+    assert not found, f"requires_grad read outside autodiff.py: {found}"
 
 
 def test_benchmark_tracer_finds_and_restores_every_name_it_patches(monkeypatch):

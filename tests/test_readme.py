@@ -1,7 +1,8 @@
 """The README's shell blocks name only commands and flags the CLI has: every
 `vampcf ...` line parses with the real parser, every documented `vampcf
 train` line names a shipped config file and real config keys, and no line
-runs a package module other than `vampcf` itself."""
+runs a package module other than `vampcf` itself. Its Library use block
+runs as written on the quickstart's ratings."""
 import re
 import shlex
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 
 from vampcf.cli import build_parser
 from vampcf.config import SECTIONS, load_config
+from vampcf.metrics import evaluate
+from vampcf.synthetic import archetype_interactions, write_ratings_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -81,3 +84,20 @@ def test_no_line_runs_a_package_module():
     modules = [line for line in shell_lines()
                if re.search(r"python3?\s+-m\s+vampcf\.", line)]
     assert not modules, f"README runs a module instead of the CLI: {modules}"
+
+
+def python_blocks():
+    """The bodies of the README's ```python blocks."""
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                      flags=re.DOTALL | re.MULTILINE)
+
+
+def test_library_use_block_runs_and_beats_popularity(tmp_path, monkeypatch):
+    (block,) = python_blocks()
+    monkeypatch.chdir(tmp_path)
+    # The ratings of the quickstart's `vampcf synthetic` line.
+    write_ratings_csv(archetype_interactions(1200, 300, 3, seed=0), "ratings.csv")
+    ns = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    popularity = evaluate(ns["ds"].test_users, ns["baseline"], ks=[10])
+    assert ns["report"].row("ndcg", 10).mean > popularity.row("ndcg", 10).mean
